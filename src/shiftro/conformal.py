@@ -83,17 +83,42 @@ def select_eta(scores: CalibScores, alpha: float, mean_model=None,
 
 
 def uncertainty_box(z, mean_model, quantile_model, calib: CalibrationResult) -> BoxSet:
-    """Box centered at f(z) with halfwidth eta * h(z)."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    center = mean_model.predict(z)[0]
-    half = calib.eta * quantile_model.predict(z)[0]
+    """Box centered at f(z) with halfwidth eta * h(z).
+
+    A covariate vector gives one box. A block of covariates, one per row,
+    gives a block box whose bounds hold one row per covariate, from one
+    prediction per model.
+    """
+    Z = np.asarray(z, dtype=float)
+    block = Z.ndim == 2
+    Z = np.atleast_2d(Z)
+    center = mean_model.predict(Z)
+    half = calib.eta * quantile_model.predict(Z)
+    if not block:
+        center, half = center[0], half[0]
     return BoxSet(center - half, center + half)
 
 
+def box_hits(costs, boxes: BoxSet) -> np.ndarray:
+    """Per-row containment of costs (n, k) in a block box with (n, k) bounds."""
+    C = np.asarray(costs, dtype=float)
+    return np.all((C >= boxes.lower) & (C <= boxes.upper), axis=1)
+
+
 def empirical_coverage(eval_data: Dataset, boxes) -> float:
-    """Fraction of rows whose cost lies in its box componentwise."""
-    boxes = list(boxes)
-    if len(boxes) != eval_data.n:
+    """Fraction of rows whose cost lies in its box componentwise.
+
+    ``boxes`` is a block box with one row per evaluation row, as
+    ``uncertainty_box`` builds it, or a sequence of one box per row.
+    """
+    if not isinstance(boxes, BoxSet):
+        boxes = list(boxes)
+        if len(boxes) != eval_data.n:
+            raise ValueError("need exactly one box per evaluation row")
+        if not boxes:
+            return 0.0
+        boxes = BoxSet(np.array([b.lower for b in boxes]),
+                       np.array([b.upper for b in boxes]))
+    if boxes.lower.shape != eval_data.C.shape:
         raise ValueError("need exactly one box per evaluation row")
-    hits = [box.contains(c) for box, c in zip(boxes, eval_data.C)]
-    return float(np.mean(hits)) if hits else 0.0
+    return float(np.mean(box_hits(eval_data.C, boxes)))

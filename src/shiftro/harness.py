@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .conformal import calib_scores, empirical_coverage, select_eta, uncertainty_box
+from .conformal import (box_hits, calib_scores, empirical_coverage, select_eta,
+                        uncertainty_box)
 from .density_ratio import (ClassifierSpec, GaussianOracleRatio, fit_classifier_ratio,
                             fit_kmm_covariate, fit_kmm_label, trivial_ratio)
 from .lp import OPTIMAL, BoxSet, LinearProgram, solve_lp, solve_robust_box
@@ -90,6 +91,17 @@ class ExperimentConfig:
             raise ValueError("shift must be nonnegative")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
             raise ValueError("the oracle ratio exists only for the toy scenario")
+        if self.shift_kind not in ("covariate", "label"):
+            raise ValueError(f"unknown shift kind {self.shift_kind!r}")
+        if not (self.sigma1 > 0 and self.sigma2 > 0):
+            raise ValueError("sigma1 and sigma2 must be positive")
+        if self.mean_kind not in ("ridge", "mlp"):
+            raise ValueError(f"unknown mean model kind {self.mean_kind!r}")
+        if self.quantile_kind not in ("linear", "mlp"):
+            raise ValueError(f"unknown quantile model kind {self.quantile_kind!r}")
+        if not (0.0 < self.clip_lo <= self.clip_hi):
+            raise ValueError(f"clip bounds must satisfy 0 < clip_lo <= clip_hi, "
+                             f"got ({self.clip_lo}, {self.clip_hi})")
         if self.format not in ("csv", "json", "svg"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -222,17 +234,29 @@ def _fit_ratio(config, scenario, train_z, d2: Dataset, test_z, seed):
     raise ValueError(kind)
 
 
-def _decide(scenario, box: BoxSet):
-    """Robust decision for one uncertainty box; returns the decision vector."""
+def _decision_lp(scenario):
+    """The decision LP that every evaluation row of a replicate shares; None
+    for the knapsack, whose robust LP is built from each row's box."""
     if isinstance(scenario, (ToyScenario, SimpleScenario)):
-        sol = solve_robust_box(scenario.decision_lp(), box)
+        return scenario.decision_lp()
+    if isinstance(scenario, GridScenario):
+        return build_shortest_path_lp(scenario)
+    return None
+
+
+def _decide(scenario, box: BoxSet, template: LinearProgram | None):
+    """Robust decision for one uncertainty box; returns the decision vector.
+
+    ``template`` is the replicate's ``_decision_lp(scenario)``.
+    """
+    if isinstance(scenario, (ToyScenario, SimpleScenario)):
+        sol = solve_robust_box(template, box)
         if sol.status != OPTIMAL:
             raise RuntimeError(f"robust toy LP ended {sol.status}")
         return sol.x
     if isinstance(scenario, GridScenario):
         # For x >= 0 the box worst case is the upper corner, so the robust
         # program reduces to a plain network LP and keeps integral vertices.
-        template = _grid_template(scenario)
         lp = LinearProgram(duplicate_edge_costs(scenario, box.upper), template.A,
                            template.b, template.lo, template.hi)
         sol = solve_lp(lp)
@@ -246,16 +270,6 @@ def _decide(scenario, box: BoxSet):
             raise RuntimeError(f"robust knapsack LP ended {sol.status}")
         return sol.x[: scenario.n_items]
     raise TypeError(f"unsupported scenario {type(scenario).__name__}")
-
-
-_GRID_TEMPLATE_CACHE: dict = {}
-
-
-def _grid_template(scenario: GridScenario) -> LinearProgram:
-    key = (scenario.d, scenario.theta_seed)
-    if key not in _GRID_TEMPLATE_CACHE:
-        _GRID_TEMPLATE_CACHE[key] = build_shortest_path_lp(scenario)
-    return _GRID_TEMPLATE_CACHE[key]
 
 
 def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
@@ -290,17 +304,16 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
                        RngStream(seed, 5), TEST)
     var_rng = RngStream(seed, 6)
 
-    boxes = []
-    covered = np.zeros(eval_data.n, dtype=bool)
+    boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, mean_model,
+                   quant_model, calib)
+    covered = box_hits(eval_data.C, boxes)
+    template = _stage("decide", _decision_lp, scenario)
     conservative = np.zeros(eval_data.n, dtype=bool)
     var_vals = np.zeros(eval_data.n)
     for i in range(eval_data.n):
         z = eval_data.Z[i]
-        box = _stage("uncertainty-box", uncertainty_box, z, mean_model, quant_model,
-                     calib)
-        boxes.append(box)
-        covered[i] = box.contains(eval_data.C[i])
-        x = _stage("decide", _decide, scenario, box)
+        box = BoxSet(boxes.lower[i], boxes.upper[i])
+        x = _stage("decide", _decide, scenario, box, template)
         conservative[i] = bool(np.max(np.abs(x)) <= 1e-9)
         var_vals[i] = _stage("empirical-var", empirical_var, x, z, scenario, alpha,
                              config.n_mc_var, var_rng)

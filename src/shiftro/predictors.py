@@ -74,58 +74,115 @@ def _mlp_init(d, hidden, k, rng: RngStream):
     }
 
 
-def _mlp_forward(params, Z):
-    H = np.tanh(Z @ params["W1"] + params["b1"])
-    return H @ params["W2"] + params["b2"], H
+class _Workspace:
+    """Scratch arrays for one full-batch fit, reused across its epochs.
+
+    Every (n, .) block an epoch needs is allocated on first use and then
+    overwritten in place, so a fit over the same rows does not allocate and
+    page in fresh megabyte-sized temporaries on every epoch.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name, shape, dtype=float):
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
 
 
-def _linear_forward(params, Z):
-    return Z @ params["W"] + params["b"], None
+def _mlp_forward(params, Z, work=None):
+    work = _Workspace() if work is None else work
+    n = Z.shape[0]
+    W1, W2 = params["W1"], params["W2"]
+    H = np.matmul(Z, W1, out=work.array("H", (n, W1.shape[1])))
+    np.add(H, params["b1"], out=H)
+    np.tanh(H, out=H)
+    out = np.matmul(H, W2, out=work.array("out", (n, W2.shape[1])))
+    np.add(out, params["b2"], out=out)
+    return out, H
 
 
-def _output_grad(kind, out, Y, alpha):
+def _linear_forward(params, Z, work=None):
+    work = _Workspace() if work is None else work
+    W = params["W"]
+    out = np.matmul(Z, W, out=work.array("out", (Z.shape[0], W.shape[1])))
+    np.add(out, params["b"], out=out)
+    return out, None
+
+
+def _output_grad(kind, out, Y, alpha, work):
     n = out.shape[0]
+    G = work.array("G", out.shape)
     if kind == "mse":
-        return (out - Y) / n
-    if kind == "pinball":
+        np.subtract(out, Y, out=G)
+    elif kind == "pinball":
         # d/d out of rho_alpha(Y - out), zero subgradient on the kink
-        u = Y - out
-        return (-alpha * (u > 0) + (1.0 - alpha) * (u < 0)) / n
-    if kind == "logistic":
-        p = 1.0 / (1.0 + np.exp(-out))
-        return (p - Y) / n
-    raise ValueError(kind)
+        u = np.subtract(Y, out, out=work.array("u", out.shape))
+        mask = work.array("mask", out.shape, bool)
+        np.multiply(-alpha, np.greater(u, 0, out=mask), out=G)
+        below = np.multiply(1.0 - alpha, np.less(u, 0, out=mask),
+                            out=work.array("t1", out.shape))
+        np.add(G, below, out=G)
+    elif kind == "logistic":
+        np.negative(out, out=G)
+        np.exp(G, out=G)
+        np.add(1.0, G, out=G)
+        np.divide(1.0, G, out=G)     # p = sigmoid(out)
+        np.subtract(G, Y, out=G)
+    else:
+        raise ValueError(kind)
+    np.divide(G, n, out=G)
+    return G
 
 
-def _loss(kind, out, Y, alpha):
+def _loss(kind, out, Y, alpha, work):
     n = out.shape[0]
+    t1 = work.array("t1", out.shape)
     if kind == "mse":
-        return 0.5 * np.sum((out - Y) ** 2) / n
+        np.subtract(out, Y, out=t1)
+        return 0.5 * np.sum(np.square(t1, out=t1)) / n
+    t2 = work.array("t2", out.shape)
     if kind == "pinball":
-        return np.sum(pinball(Y - out, alpha)) / n
+        # pinball(Y - out, alpha), term by term
+        u = np.subtract(Y, out, out=work.array("u", out.shape))
+        np.multiply(alpha, np.maximum(u, 0.0, out=t1), out=t1)
+        np.negative(u, out=t2)
+        np.multiply(1.0 - alpha, np.maximum(t2, 0.0, out=t2), out=t2)
+        return np.sum(np.add(t1, t2, out=t1)) / n
     if kind == "logistic":
         # stable softplus(out) - Y*out
-        return np.sum(np.logaddexp(0.0, out) - Y * out) / n
+        np.logaddexp(0.0, out, out=t1)
+        np.multiply(Y, out, out=t2)
+        return np.sum(np.subtract(t1, t2, out=t1)) / n
     raise ValueError(kind)
 
 
-def loss_and_grad(params, Z, Y, kind, alpha=0.5):
+def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
     """Loss plus exact (sub)gradients for either architecture.
 
-    Exposed so tests can compare gradients against finite differences.
+    ``work`` holds the (n, .) scratch arrays; a fit passes the same one to
+    every epoch, and a fresh one is made when none is given. The returned
+    gradients never share memory with it. Exposed so tests can compare
+    gradients against finite differences.
     """
+    work = _Workspace() if work is None else work
     if "W1" in params:
-        out, H = _mlp_forward(params, Z)
-        G = _output_grad(kind, out, Y, alpha)
+        out, H = _mlp_forward(params, Z, work)
+        G = _output_grad(kind, out, Y, alpha, work)
         dW2 = H.T @ G
         db2 = G.sum(axis=0)
-        dH = (G @ params["W2"].T) * (1.0 - H * H)
+        dH = np.matmul(G, params["W2"].T, out=work.array("dH", H.shape))
+        slope = np.multiply(H, H, out=work.array("slope", H.shape))
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(dH, slope, out=dH)
         grads = {"W1": Z.T @ dH, "b1": dH.sum(axis=0), "W2": dW2, "b2": db2}
     else:
-        out, _ = _linear_forward(params, Z)
-        G = _output_grad(kind, out, Y, alpha)
+        out, _ = _linear_forward(params, Z, work)
+        G = _output_grad(kind, out, Y, alpha, work)
         grads = {"W": Z.T @ G, "b": G.sum(axis=0)}
-    return _loss(kind, out, Y, alpha), grads
+    return _loss(kind, out, Y, alpha, work), grads
 
 
 def _fit_gradient(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
@@ -137,8 +194,9 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
         b1, b2, eps = 0.9, 0.999, 1e-8
     best_loss = np.inf
     best = {k: p.copy() for k, p in params.items()}
+    work = _Workspace()
     for t in range(1, epochs + 1):
-        loss, grads = loss_and_grad(params, Z, Y, kind, alpha)
+        loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work)
         if loss < best_loss:
             best_loss = loss
             best = {k: p.copy() for k, p in params.items()}
@@ -153,7 +211,7 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
             step = lr / np.sqrt(1.0 + t / 50.0)
             for k in params:
                 params[k] -= step * grads[k]
-    loss, _ = loss_and_grad(params, Z, Y, kind, alpha)
+    loss, _ = loss_and_grad(params, Z, Y, kind, alpha, work)
     if loss < best_loss:
         best, best_loss = params, loss
     return best, best_loss

@@ -195,7 +195,7 @@ class GridScenario:
     def sample_costs_given(self, z, n_mc: int, rng: RngStream,
                            phase: str = TEST) -> np.ndarray:
         noise = rng.uniform(0.75, 1.25, size=(n_mc, self.n_edges))
-        return np.array([self._edge_costs(z, noise[i]) for i in range(n_mc)])
+        return self._edge_costs(z, noise)
 
 
 def sample_grid_costs(scn: GridScenario, z, rng: RngStream) -> np.ndarray:
@@ -323,7 +323,7 @@ class KnapsackScenario:
     def sample_costs_given(self, z, n_mc: int, rng: RngStream,
                            phase: str = TEST) -> np.ndarray:
         noise = rng.uniform(0.8, 1.2, size=(n_mc, self.n_items))
-        return np.array([self._utilities(z, noise[i]) for i in range(n_mc)])
+        return self._utilities(z, noise)
 
 
 def sample_knapsack_utils(scn: KnapsackScenario, z, rng: RngStream) -> np.ndarray:

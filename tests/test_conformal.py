@@ -152,7 +152,43 @@ class TestUncertaintyBox:
             assert box.contains(c) == (score <= eta)
 
 
+    def test_block_rows_match_single_boxes(self):
+        g = RngStream(10).generator
+        Z = g.normal(size=(300, 3))
+        C = np.sin(Z[:, :2]) + 0.1 * g.normal(size=(300, 2))
+        f = fit_mean(Dataset(Z, C), MeanSpec(kind="mlp", epochs=50, seed=1))
+        h = fit_quantile(Z, np.abs(C - f.predict(Z)), 0.8,
+                         QuantileSpec(kind="mlp", epochs=50, seed=2))
+        calib = CalibrationResult(1.3, 0.8)
+        block = uncertainty_box(Z[:40], f, h, calib)
+        assert block.lower.shape == block.upper.shape == (40, 2)
+        for i in range(40):
+            one = uncertainty_box(Z[i], f, h, calib)
+            # one block product against 40 one-row products: the matmul may
+            # sum in another order, so allow a few ulps
+            np.testing.assert_allclose(block.lower[i], one.lower, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(block.upper[i], one.upper, rtol=1e-13, atol=1e-14)
+
+
 class TestEmpiricalCoverage:
+    def test_block_box_matches_box_list(self):
+        g = RngStream(11).generator
+        C = g.normal(size=(200, 3))
+        lower = g.normal(size=(200, 3)) - 1.0
+        upper = lower + 2.0 * g.random((200, 3))
+        data = Dataset(np.zeros((200, 1)), C)
+        boxes = [BoxSet(lo, hi) for lo, hi in zip(lower, upper)]
+        want = float(np.mean([b.contains(c) for b, c in zip(boxes, C)]))
+        assert 0.0 < want < 1.0
+        assert empirical_coverage(data, BoxSet(lower, upper)) == want
+        assert empirical_coverage(data, boxes) == want
+
+    def test_block_box_row_mismatch(self):
+        data = Dataset(np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            empirical_coverage(data, BoxSet(np.zeros((2, 1)), np.ones((2, 1))))
+
+
     def test_infinite_boxes(self):
         data = Dataset(np.zeros((5, 1)), np.arange(5.0)[:, None])
         boxes = [BoxSet([-np.inf], [np.inf])] * 5

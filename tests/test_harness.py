@@ -260,6 +260,22 @@ class TestCli:
         res = self._run("toy", "--ratio", "bogus")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("bad", [
+        {"clip_lo": 5.0, "clip_hi": 1.0},
+        {"clip_lo": 0.0},
+        {"mean_kind": "bogus"},
+        {"quantile_kind": "bogus"},
+        {"shift_kind": "bogus"},
+        {"sigma1": 0.0},
+        {"sigma2": -1.0},
+    ], ids=lambda bad: ",".join(bad))
+    def test_bad_field_is_config_error(self, tmp_path, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(FAST_TOY, **bad)))
+        res = self._run("toy", "--config", str(cfg))
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr
+
     def test_toy_run_writes_csv(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(FAST_TOY)))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.predictors import (Dataset, MeanSpec, QuantileSpec, compute_residuals,
                                 fit_mean, fit_quantile, loss_and_grad, pinball,
-                                _mlp_init)
+                                _mlp_init, _Workspace)
 
 
 class TestDataset:
@@ -207,3 +208,122 @@ class TestGradients:
                 denom = max(abs(fd), abs(gv), 1e-10)
                 assert abs(fd - gv) / denom < 1e-4, (kind, key)
                 checked += 1
+
+
+# The allocating forward/backward pass and training loop as they stood before
+# fits reused one workspace: the reference the workspace version must match
+# bit for bit.
+
+def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
+    n = Z.shape[0]
+    if "W1" in params:
+        H = np.tanh(Z @ params["W1"] + params["b1"])
+        out = H @ params["W2"] + params["b2"]
+    else:
+        out = Z @ params["W"] + params["b"]
+    if kind == "mse":
+        G = (out - Y) / n
+        loss = 0.5 * np.sum((out - Y) ** 2) / n
+    elif kind == "pinball":
+        u = Y - out
+        G = (-alpha * (u > 0) + (1.0 - alpha) * (u < 0)) / n
+        loss = np.sum(pinball(Y - out, alpha)) / n
+    else:
+        G = (1.0 / (1.0 + np.exp(-out)) - Y) / n
+        loss = np.sum(np.logaddexp(0.0, out) - Y * out) / n
+    if "W1" in params:
+        dH = (G @ params["W2"].T) * (1.0 - H * H)
+        grads = {"W1": Z.T @ dH, "b1": dH.sum(axis=0), "W2": H.T @ G,
+                 "b2": G.sum(axis=0)}
+    else:
+        grads = {"W": Z.T @ G, "b": G.sum(axis=0)}
+    return loss, grads
+
+
+def _reference_fit(params, Z, Y, kind, alpha, epochs, lr):
+    """Adam loop of _fit_gradient over the reference pass."""
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    best_loss = np.inf
+    best = {k: p.copy() for k, p in params.items()}
+    for t in range(1, epochs + 1):
+        loss, grads = _reference_loss_and_grad(params, Z, Y, kind, alpha)
+        if loss < best_loss:
+            best_loss = loss
+            best = {k: p.copy() for k, p in params.items()}
+        for k in params:
+            m[k] = b1 * m[k] + (1 - b1) * grads[k]
+            v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
+            params[k] -= lr * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
+    loss, _ = _reference_loss_and_grad(params, Z, Y, kind, alpha)
+    return params if loss < best_loss else best
+
+
+def _problem(n, d, k, kind, seed=0):
+    g = RngStream(seed).generator
+    Z = g.normal(size=(n, d))
+    if kind == "logistic":
+        Y = (g.random((n, k)) < 0.5).astype(float)
+    elif kind == "pinball":
+        Y = np.abs(g.normal(size=(n, k)))
+    else:
+        Y = g.normal(size=(n, k))
+    return Z, Y
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestWorkspace:
+    # 9000 rows x 16 hidden units is above 1 MB per hidden buffer, 50 below
+    @pytest.mark.parametrize("n", [50, 9000])
+    @pytest.mark.parametrize("kind,alpha", [("mse", 0.5), ("pinball", 0.8),
+                                            ("logistic", 0.5)])
+    @pytest.mark.parametrize("arch", ["mlp", "linear"])
+    def test_bit_equal_to_allocating_pass(self, n, kind, alpha, arch):
+        k = 1 if kind == "logistic" else 3
+        Z, Y = _problem(n, 4, k, kind)
+        if arch == "mlp":
+            params = _mlp_init(4, 16, k, RngStream(1))
+        else:
+            g = RngStream(2).generator
+            params = {"W": g.normal(size=(4, k)), "b": g.normal(size=k)}
+        want_loss, want = _reference_loss_and_grad(params, Z, Y, kind, alpha)
+        work = _Workspace()
+        for _ in range(2):      # a fresh and a reused workspace
+            loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work)
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            for key in want:
+                _assert_same_bits(grads[key], want[key])
+
+    def test_gradients_do_not_alias_the_workspace(self):
+        Z, Y = _problem(200, 3, 2, "mse")
+        params = _mlp_init(3, 16, 2, RngStream(4))
+        work = _Workspace()
+        _, first = loss_and_grad(params, Z, Y, "mse", 0.5, work)
+        kept = {k: g.copy() for k, g in first.items()}
+        other = _mlp_init(3, 16, 2, RngStream(5))
+        loss_and_grad(other, -Z, 2 * Y, "mse", 0.5, work)
+        for key in kept:
+            _assert_same_bits(first[key], kept[key])
+
+    def test_classifier_ratio_matches_reference_loop(self):
+        g = RngStream(6).generator
+        train_z = g.normal(size=(300, 4))
+        test_z = g.normal(size=(200, 4)) + 0.5
+        spec = ClassifierSpec(kind="mlp", epochs=60, seed=8)
+        model = fit_classifier_ratio(train_z, test_z, spec)
+        X = np.vstack([train_z, test_z])
+        y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
+        init = _mlp_init(4, spec.hidden, 1, RngStream(spec.seed, 303))
+        want = _reference_fit(init, X, y, "logistic", 0.5, spec.epochs,
+                              spec.learning_rate)
+        want["b2"] = want["b2"] - np.log(200 / 300)
+        assert model.params.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(model.params[key], want[key])

@@ -207,3 +207,17 @@ class TestKnapsackScenario:
         np.testing.assert_array_equal(a.prices, b.prices)
         assert a.budget > 0
         assert np.all(a.prices > 0)
+
+
+def test_cost_draws_match_per_draw_reference():
+    z = RngStream(17).gaussian(0, 1, size=10)
+    for scn, per_draw, (low, high) in (
+        (KnapsackScenario(), KnapsackScenario._utilities, (0.8, 1.2)),
+        (GridScenario(), GridScenario._edge_costs, (0.75, 1.25)),
+    ):
+        draws = scn.sample_costs_given(z, 50, RngStream(18))
+        # the per-draw loop the block replaced, on the same noise stream
+        noise = RngStream(18).uniform(low, high, size=(50, scn.n_cost))
+        want = np.array([per_draw(scn, z, noise[i]) for i in range(50)])
+        assert draws.shape == want.shape
+        assert draws.tobytes() == want.tobytes()
