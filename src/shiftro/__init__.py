@@ -15,15 +15,14 @@ from .density_ratio import (ClassifierSpec, GaussianOracleRatio, KernelMatrices,
                             fit_kmm_covariate, fit_kmm_label,
                             gaussian_oracle_ratio, trivial_ratio)
 from .harness import (ExperimentConfig, Report, ReportRow, box_baseline,
-                      emit_report, empirical_var, run_pipeline, run_replicate)
+                      calibrate_replicate, emit_report, empirical_var,
+                      run_pipeline, run_replicate)
 from .lp import (BoxSet, LinearProgram, LpSolution, robustify_box, solve_lp,
                  solve_robust_box)
-from .numerics import RngStream, normal_cdf, normal_quantile, sample, solve_spd
+from .numerics import RngStream, normal_cdf, normal_quantile, solve_spd
 from .predictors import (Dataset, MeanSpec, QuantileSpec, compute_residuals,
                          fit_mean, fit_quantile, pinball)
 from .scenarios import (GridScenario, KnapsackScenario, SimpleScenario,
-                        ToyScenario, build_knapsack_lp, build_shortest_path_lp,
-                        sample_grid_costs, sample_knapsack_utils, sample_simple,
-                        sample_toy)
+                        ToyScenario, build_knapsack_lp, build_shortest_path_lp)
 
 __version__ = "0.1.0"

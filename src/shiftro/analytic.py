@@ -11,10 +11,12 @@ coverage band can be checked without Monte Carlo error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations_with_replacement
+from math import factorial
 
 import numpy as np
 
-from .conformal import CalibScores, select_eta
 from .numerics import normal_cdf, normal_quantile
 
 OODRO = "oodro"
@@ -171,27 +173,19 @@ def coverage_band(weights, n_cal: int) -> float:
     return float(w.max() / w.min()) / (n_cal + 1)
 
 
-_MULTISET_CACHE: dict = {}
-
-
+@cache
 def _multisets(k: int, n: int):
     """All score-sorted calibration draws as multisets with multinomial counts."""
-    key = (k, n)
-    if key not in _MULTISET_CACHE:
-        from itertools import combinations_with_replacement
-        from math import factorial
-
-        rows = np.array(list(combinations_with_replacement(range(k), n)), dtype=int)
-        coefs = np.empty(rows.shape[0])
-        n_fact = factorial(n)
-        for i, row in enumerate(rows):
-            counts = np.bincount(row, minlength=k)
-            denom = 1
-            for c in counts:
-                denom *= factorial(int(c))
-            coefs[i] = n_fact / denom
-        _MULTISET_CACHE[key] = (rows, coefs)
-    return _MULTISET_CACHE[key]
+    rows = np.array(list(combinations_with_replacement(range(k), n)), dtype=int)
+    coefs = np.empty(rows.shape[0])
+    n_fact = factorial(n)
+    for i, row in enumerate(rows):
+        counts = np.bincount(row, minlength=k)
+        denom = 1
+        for c in counts:
+            denom *= factorial(int(c))
+        coefs[i] = n_fact / denom
+    return rows, coefs
 
 
 def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> float:
@@ -231,20 +225,3 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
     cov = np.where(pos > 0, q_cum[np.maximum(pos - 1, 0)], 0.0)
     return float(probs @ cov)
 
-
-def exact_coverage_reference(world: DiscreteWorld, n_cal: int, alpha: float,
-                             weights) -> float:
-    """Slow per-tuple reference using select_eta directly (for cross-checks)."""
-    from itertools import product
-
-    w = world._weight_values(weights)
-    scores = world.scores
-    order = np.argsort(scores)
-    total = 0.0
-    for tup in product(range(world.size), repeat=n_cal):
-        tup = np.array(tup)
-        prob = float(np.prod(world.p[tup]))
-        eta = select_eta(CalibScores(scores[tup], w[tup]), alpha).eta
-        cov = float(world.q[order][scores[order] <= eta].sum())
-        total += prob * cov
-    return total

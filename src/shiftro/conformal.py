@@ -42,8 +42,6 @@ class CalibScores:
 class CalibrationResult:
     eta: float
     alpha: float
-    mean_model: object = None
-    quantile_model: object = None
 
 
 def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibScores:
@@ -63,8 +61,7 @@ def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibS
     return CalibScores(scores, weights)
 
 
-def select_eta(scores: CalibScores, alpha: float, mean_model=None,
-               quantile_model=None) -> CalibrationResult:
+def select_eta(scores: CalibScores, alpha: float) -> CalibrationResult:
     """Smallest calibration score whose weighted empirical coverage reaches alpha.
 
     Sorts scores ascending, accumulates normalized weights, and returns the
@@ -79,7 +76,7 @@ def select_eta(scores: CalibScores, alpha: float, mean_model=None,
     cum = np.cumsum(w)
     hit = np.flatnonzero(cum >= alpha * cum[-1])
     eta = float(s[hit[0]]) if hit.size else float(s[-1])
-    return CalibrationResult(eta, alpha, mean_model, quantile_model)
+    return CalibrationResult(eta, alpha)
 
 
 def uncertainty_box(z, mean_model, quantile_model, calib: CalibrationResult) -> BoxSet:
@@ -105,20 +102,12 @@ def box_hits(costs, boxes: BoxSet) -> np.ndarray:
     return np.all((C >= boxes.lower) & (C <= boxes.upper), axis=1)
 
 
-def empirical_coverage(eval_data: Dataset, boxes) -> float:
+def empirical_coverage(eval_data: Dataset, boxes: BoxSet) -> float:
     """Fraction of rows whose cost lies in its box componentwise.
 
     ``boxes`` is a block box with one row per evaluation row, as
-    ``uncertainty_box`` builds it, or a sequence of one box per row.
+    ``uncertainty_box`` builds it.
     """
-    if not isinstance(boxes, BoxSet):
-        boxes = list(boxes)
-        if len(boxes) != eval_data.n:
-            raise ValueError("need exactly one box per evaluation row")
-        if not boxes:
-            return 0.0
-        boxes = BoxSet(np.array([b.lower for b in boxes]),
-                       np.array([b.upper for b in boxes]))
     if boxes.lower.shape != eval_data.C.shape:
         raise ValueError("need exactly one box per evaluation row")
     return float(np.mean(box_hits(eval_data.C, boxes)))

@@ -283,7 +283,7 @@ class KmmRatio(RatioModel):
         if Z.shape != self.fit_Z.shape or not np.array_equal(Z, self.fit_Z):
             raise ValueError("KMM weights are defined only at the samples they were fit on")
         if self.fit_C is not None and C is not None:
-            C = np.atleast_2d(np.asarray(C, dtype=float))
+            C = np.asarray(C, dtype=float)
             if C.ndim == 1:
                 C = C[:, None]
             if not np.array_equal(C, self.fit_C):
@@ -325,10 +325,10 @@ def fit_kmm_covariate(train_z, test_z, bandwidth=None, cap: float = 1000.0,
     return model
 
 
-def fit_kmm_label(train: Dataset, test_z, kernels: KernelMatrices | None = None,
-                  lam=None, cap: float = 1000.0, mean_slack=None,
-                  clip=DEFAULT_CLIP, max_samples: int = KMM_MAX_SAMPLES,
-                  rng: RngStream | None = None, n_iter: int = 800) -> KmmRatio:
+def fit_kmm_label(train: Dataset, test_z, lam=None, cap: float = 1000.0,
+                  mean_slack=None, clip=DEFAULT_CLIP,
+                  max_samples: int = KMM_MAX_SAMPLES, rng: RngStream | None = None,
+                  n_iter: int = 800) -> KmmRatio:
     """Label-shift KMM through the empirical conditional embedding.
 
     With B = (H + lam I)^{-1} H, the embedding-matching loss expands to
@@ -338,24 +338,16 @@ def fit_kmm_label(train: Dataset, test_z, kernels: KernelMatrices | None = None,
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if train.n < 2 or Zte.shape[0] < 2:
         raise ValueError("KMM requires at least two samples on each side")
-    if kernels is None:
-        Ztr, idx = _subsample(train.Z, max_samples, rng, 21)
-        sel = idx
-        Ctr = train.C[sel]
-        Zte_s, _ = _subsample(Zte, max_samples, rng, 22)
-        kernels = build_kernel_matrices(Ztr, Zte_s, train_c=Ctr, lam=lam)
-    else:
-        Ztr, Ctr, idx = train.Z, train.C, np.arange(train.n)
-        Zte_s = Zte
-    if kernels.H is None:
-        raise ValueError("label-shift KMM needs the cost Gram matrix H")
+    Ztr, idx = _subsample(train.Z, max_samples, rng, 21)
+    Ctr = train.C[idx]
+    Zte, _ = _subsample(Zte, max_samples, rng, 22)
+    kernels = build_kernel_matrices(Ztr, Zte, train_c=Ctr, lam=lam)
     n = kernels.K.shape[0]
     m = kernels.K_te.shape[1]
-    lam_eff = kernels.lam if lam is None else lam
-    if lam_eff <= 0:
+    if kernels.lam <= 0:
         raise ValueError("lam must be positive")
     H = kernels.H
-    B = solve_spd(H + lam_eff * np.eye(n), H)
+    B = solve_spd(H + kernels.lam * np.eye(n), H)
     BtKB = B.T @ kernels.K @ B
     quad = 2.0 * BtKB / (n * n)
     quad = 0.5 * (quad + quad.T) + 1e-12 * np.eye(n)
@@ -363,7 +355,7 @@ def fit_kmm_label(train: Dataset, test_z, kernels: KernelMatrices | None = None,
     if mean_slack is None:
         mean_slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
     w, objs = _projected_gradient(quad, lin, cap, mean_slack, n_iter)
-    model = KmmRatio("kmm-label", Ztr, np.atleast_2d(Ctr), w, *clip, objectives=objs)
+    model = KmmRatio("kmm-label", Ztr, Ctr, w, *clip, objectives=objs)
     model.fit_indices = idx
     return model
 

@@ -29,8 +29,8 @@ from .predictors import (Dataset, MeanSpec, QuantileSpec, compute_residuals,
                          fit_mean, fit_quantile)
 from . import analytic
 from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScenario,
-                        ToyScenario, arc_box, build_knapsack_lp,
-                        build_shortest_path_lp, duplicate_edge_costs, trace_path)
+                        ToyScenario, build_knapsack_lp, build_shortest_path_lp,
+                        duplicate_edge_costs, trace_path)
 
 SCENARIOS = ("toy", "simple", "shortest-path", "knapsack")
 RATIO_KINDS = ("trivial", "cls-linear", "cls-mlp", "kmm-cov", "kmm-label", "oracle")
@@ -87,6 +87,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.d is not None and self.d < 1:
             raise ValueError("d must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
@@ -272,8 +274,12 @@ def _decide(scenario, box: BoxSet, template: LinearProgram | None):
     raise TypeError(f"unsupported scenario {type(scenario).__name__}")
 
 
-def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
-    """One full pipeline pass; replicate streams are keyed by seed + rep."""
+def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
+    """Sample, fit f, h and the ratio, and calibrate eta for one replicate.
+
+    Returns ``(scenario, mean_model, quantile_model, calibration)``, with
+    streams keyed by seed + rep; ``run_replicate`` evaluates what it returns.
+    """
     seed = config.seed + rep
     # scenario structure (theta, prices) stays frozen across replicates
     scenario = _stage("scenario", make_scenario, config)
@@ -298,7 +304,15 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
 
     scores = _stage("calib-scores", calib_scores, d2_cal, mean_model, quant_model,
                     ratio_model)
-    calib = _stage("select-eta", select_eta, scores, alpha, mean_model, quant_model)
+    calib = _stage("select-eta", select_eta, scores, alpha)
+    return scenario, mean_model, quant_model, calib
+
+
+def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
+    """One full pipeline pass; replicate streams are keyed by seed + rep."""
+    seed = config.seed + rep
+    alpha = config.alpha
+    scenario, mean_model, quant_model, calib = calibrate_replicate(config, rep)
 
     eval_data = _stage("sample-eval", scenario.sample, config.n_eval,
                        RngStream(seed, 5), TEST)

@@ -236,31 +236,9 @@ def _initial_point(lo, hi):
     return x0, state
 
 
-def _solve_unconstrained(p: LinearProgram) -> LpSolution:
-    # m == 0: each coordinate optimizes independently against its bounds.
-    x = np.zeros(p.n)
-    for j in range(p.n):
-        if p.c[j] > 0:
-            if not np.isfinite(p.lo[j]):
-                return LpSolution(x, -np.inf, UNBOUNDED)
-            x[j] = p.lo[j]
-        elif p.c[j] < 0:
-            if not np.isfinite(p.hi[j]):
-                return LpSolution(x, -np.inf, UNBOUNDED)
-            x[j] = p.hi[j]
-        else:
-            x[j] = p.lo[j] if np.isfinite(p.lo[j]) else \
-                (p.hi[j] if np.isfinite(p.hi[j]) else 0.0)
-    return LpSolution(x, float(p.c @ x), OPTIMAL,
-                      duals=np.zeros(0), reduced_costs=p.c.copy())
-
-
 def solve_lp(p: LinearProgram) -> LpSolution:
     """Solve the LP, classifying the result as optimal/infeasible/unbounded."""
     m, n = p.m, p.n
-    if m == 0:
-        return _solve_unconstrained(p)
-
     x0, state0 = _initial_point(p.lo, p.hi)
     resid = p.b - p.A @ x0
     signs = np.where(resid >= 0.0, 1.0, -1.0)

@@ -9,24 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation to the standard normal quantile
-# (refined below by Newton steps, so only ~1e-9 accuracy is needed here).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_PLOW = 0.02425
+_STD_NORMAL = NormalDist()
 
 
 def normal_cdf(x):
@@ -42,46 +31,14 @@ def normal_cdf(x):
     return 0.5 * (1.0 + np.vectorize(math.erf)(xs / _SQRT2))
 
 
-def normal_pdf(x):
-    """Standard normal density."""
-    xs = np.asarray(x, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * xs * xs)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _acklam(p: float) -> float:
-    if p < _ACKLAM_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d, e, f = _ACKLAM_C
-        g, h, i, j = _ACKLAM_D
-        return (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / \
-               ((((g * q + h) * q + i) * q + j) * q + 1.0)
-    if p > 1.0 - _ACKLAM_PLOW:
-        return -_acklam(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    a, b, c, d, e, f = _ACKLAM_A
-    g, h, i, j, k = _ACKLAM_B
-    return (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q / \
-           (((((g * r + h) * r + i) * r + j) * r + k) * r + 1.0)
-
-
 def normal_quantile(p):
-    """Inverse standard normal CDF on (0, 1).
-
-    Rational initial guess refined by two Newton steps against normal_cdf,
-    giving a roundtrip error far below 1e-8.
-    """
+    """Inverse standard normal CDF on (0, 1). Accepts a scalar or an array."""
     if np.ndim(p) != 0:
         return np.array([normal_quantile(v) for v in np.asarray(p, dtype=float)])
     pf = float(p)
     if not (0.0 < pf < 1.0):
         raise ValueError(f"normal_quantile requires p in (0, 1), got {pf}")
-    x = _acklam(pf)
-    for _ in range(2):
-        err = normal_cdf(x) - pf
-        x -= err / normal_pdf(x)
-    return x
+    return _STD_NORMAL.inv_cdf(pf)
 
 
 def solve_spd(mat, rhs):
@@ -131,10 +88,6 @@ class RngStream:
                        dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, index: int) -> "RngStream":
-        """A fresh stream under the same seed; does not disturb this one."""
-        return RngStream(self.seed, index)
-
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
@@ -156,14 +109,3 @@ class RngStream:
         out = (self._gen.random(size) < p)
         return out.astype(float) if size is not None else float(out)
 
-
-def sample(dist: str, rng: RngStream, size=None, **params):
-    """Draw from a named distribution: gaussian(mean, var), uniform(low, high),
-    bernoulli(p)."""
-    if dist == "gaussian":
-        return rng.gaussian(params["mean"], params["var"], size=size)
-    if dist == "uniform":
-        return rng.uniform(params["low"], params["high"], size=size)
-    if dist == "bernoulli":
-        return rng.bernoulli(params["p"], size=size)
-    raise ValueError(f"unknown distribution {dist!r}")

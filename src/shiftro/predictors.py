@@ -3,11 +3,12 @@
 Two model families each: a convex baseline (ridge / linear quantile
 regression) and a one-hidden-layer MLP with 16 units. The MLP machinery is
 shared with the probabilistic classifier in density_ratio via _fit_gradient.
+Every fitted mean or width model is a Predictor over its parameter dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,6 +218,26 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
     return best, best_loss
 
 
+class Predictor:
+    """A fitted mean or width model: the MLP or linear forward pass of its
+    parameters, floored at ``floor`` when one is set (width models)."""
+
+    def __init__(self, params, floor=None):
+        self.params = params
+        self.floor = floor
+        mlp = "W1" in params
+        self._forward = _mlp_forward if mlp else _linear_forward
+        self.input_dim = params["W1" if mlp else "W"].shape[0]
+        self.output_dim = params["W2" if mlp else "W"].shape[1]
+
+    def predict(self, Z):
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        if Z.shape[1] != self.input_dim:
+            raise ValueError(f"expected {self.input_dim}-dim input, got {Z.shape[1]}")
+        out, _ = self._forward(self.params, Z)
+        return out if self.floor is None else np.maximum(out, self.floor)
+
+
 # ---------------------------------------------------------------------------
 # mean models
 # ---------------------------------------------------------------------------
@@ -231,40 +252,6 @@ class MeanSpec:
     seed: int = 0
 
 
-class RidgeMean:
-    """Linear least squares with an unpenalized intercept."""
-
-    kind = "ridge"
-
-    def __init__(self, weights, intercept):
-        self.weights = weights          # (d, k)
-        self.intercept = intercept      # (k,)
-        self.input_dim = weights.shape[0]
-        self.output_dim = weights.shape[1]
-
-    def predict(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if Z.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim}-dim input, got {Z.shape[1]}")
-        return Z @ self.weights + self.intercept
-
-
-class MlpMean:
-    kind = "mlp"
-
-    def __init__(self, params, input_dim, output_dim):
-        self.params = params
-        self.input_dim = input_dim
-        self.output_dim = output_dim
-
-    def predict(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if Z.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim}-dim input, got {Z.shape[1]}")
-        out, _ = _mlp_forward(self.params, Z)
-        return out
-
-
 def fit_mean(train: Dataset, spec: MeanSpec = MeanSpec()):
     """Fit the conditional-mean predictor on (Z, C)."""
     if train.n == 0 or train.n_cost == 0:
@@ -276,13 +263,13 @@ def fit_mean(train: Dataset, spec: MeanSpec = MeanSpec()):
         Zc = Z - zm
         G = Zc.T @ Zc + spec.ridge_lambda * np.eye(train.d)
         W = solve_spd(G, Zc.T @ (C - cm))
-        return RidgeMean(W, cm - zm @ W)
+        return Predictor({"W": W, "b": cm - zm @ W})
     if spec.kind == "mlp":
         rng = RngStream(spec.seed, 101)
         params = _mlp_init(train.d, spec.hidden, train.n_cost, rng)
         params, _ = _fit_gradient(params, Z, C, "mse", 0.5,
                                   spec.epochs, spec.learning_rate)
-        return MlpMean(params, train.d, train.n_cost)
+        return Predictor(params)
     raise ValueError(f"unknown mean model kind {spec.kind!r}")
 
 
@@ -305,47 +292,6 @@ class QuantileSpec:
     learning_rate: float = 0.05
     width_floor: float = WIDTH_FLOOR
     seed: int = 0
-
-
-class _QuantileBase:
-    def __init__(self, alpha, width_floor, input_dim, output_dim):
-        self.alpha = alpha
-        self.width_floor = width_floor
-        self.input_dim = input_dim
-        self.output_dim = output_dim
-
-    def _raw(self, Z):
-        raise NotImplementedError
-
-    def predict(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if Z.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim}-dim input, got {Z.shape[1]}")
-        return np.maximum(self._raw(Z), self.width_floor)
-
-
-class LinearQuantile(_QuantileBase):
-    kind = "linear"
-
-    def __init__(self, params, alpha, width_floor):
-        super().__init__(alpha, width_floor, params["W"].shape[0], params["W"].shape[1])
-        self.params = params
-
-    def _raw(self, Z):
-        out, _ = _linear_forward(self.params, Z)
-        return out
-
-
-class MlpQuantile(_QuantileBase):
-    kind = "mlp"
-
-    def __init__(self, params, alpha, width_floor):
-        super().__init__(alpha, width_floor, params["W1"].shape[0], params["W2"].shape[1])
-        self.params = params
-
-    def _raw(self, Z):
-        out, _ = _mlp_forward(self.params, Z)
-        return out
 
 
 def fit_quantile(Z, abs_residuals, alpha: float, spec: QuantileSpec = QuantileSpec()):
@@ -372,13 +318,13 @@ def fit_quantile(Z, abs_residuals, alpha: float, spec: QuantileSpec = QuantileSp
         params, _ = _fit_gradient(params, Z, Y, "pinball", alpha,
                                   spec.epochs, spec.learning_rate,
                                   optimizer="sgd")
-        return LinearQuantile(params, alpha, spec.width_floor)
-    if spec.kind == "mlp":
+    elif spec.kind == "mlp":
         rng = RngStream(spec.seed, 202)
         params = _mlp_init(d, spec.hidden, k, rng)
         params["b2"] = q0.copy()
         params, _ = _fit_gradient(params, Z, Y, "pinball", alpha,
                                   spec.epochs, min(spec.learning_rate, 0.01),
                                   optimizer="adam")
-        return MlpQuantile(params, alpha, spec.width_floor)
-    raise ValueError(f"unknown quantile model kind {spec.kind!r}")
+    else:
+        raise ValueError(f"unknown quantile model kind {spec.kind!r}")
+    return Predictor(params, spec.width_floor)

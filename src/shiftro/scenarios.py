@@ -90,10 +90,6 @@ class ToyScenario:
                              lo=[-1.0], hi=[1.0])
 
 
-def sample_toy(scn: ToyScenario, n: int, rng: RngStream, phase: str = TRAIN) -> Dataset:
-    return scn.sample(n, rng, phase)
-
-
 @dataclass(frozen=True)
 class SimpleScenario:
     """Multi-d covariates; c = (sign(z1) + eps) * sqrt(|z1|), eps ~ N(0, 0.1)."""
@@ -132,11 +128,6 @@ class SimpleScenario:
     def decision_lp(self) -> LinearProgram:
         return LinearProgram(c=[0.0], A=np.zeros((0, 1)), b=[],
                              lo=[-1.0], hi=[1.0])
-
-
-def sample_simple(scn: SimpleScenario, n: int, rng: RngStream,
-                  phase: str = TRAIN) -> Dataset:
-    return scn.sample(n, rng, phase)
 
 
 def _grid_edges(side: int = 5):
@@ -198,15 +189,6 @@ class GridScenario:
         return self._edge_costs(z, noise)
 
 
-def sample_grid_costs(scn: GridScenario, z, rng: RngStream) -> np.ndarray:
-    """One 40-edge cost draw at covariate z (both arc directions share it)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (scn.d,):
-        raise ValueError(f"expected a {scn.d}-dim covariate")
-    noise = rng.uniform(0.75, 1.25, size=scn.n_edges)
-    return scn._edge_costs(z, noise)
-
-
 def build_shortest_path_lp(scn: GridScenario) -> LinearProgram:
     """Flow LP template: 80 directed arcs, 25 conservation rows, x >= 0.
 
@@ -237,12 +219,6 @@ def duplicate_edge_costs(scn: GridScenario, edge_values) -> np.ndarray:
     if v.shape != (scn.n_edges,):
         raise ValueError(f"expected {scn.n_edges} edge values")
     return np.repeat(v, 2)
-
-
-def arc_box(scn: GridScenario, box: BoxSet) -> BoxSet:
-    """Duplicate a 40-edge cost box onto the 80 directed arcs."""
-    return BoxSet(duplicate_edge_costs(scn, box.lower),
-                  duplicate_edge_costs(scn, box.upper))
 
 
 def trace_path(scn: GridScenario, x, tol: float = 1e-6):
@@ -324,14 +300,6 @@ class KnapsackScenario:
                            phase: str = TEST) -> np.ndarray:
         noise = rng.uniform(0.8, 1.2, size=(n_mc, self.n_items))
         return self._utilities(z, noise)
-
-
-def sample_knapsack_utils(scn: KnapsackScenario, z, rng: RngStream) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (scn.d,):
-        raise ValueError(f"expected a {scn.d}-dim covariate")
-    noise = rng.uniform(0.8, 1.2, size=scn.n_items)
-    return scn._utilities(z, noise)
 
 
 def build_knapsack_lp(scn: KnapsackScenario, utility_box: BoxSet) -> LinearProgram:

@@ -15,18 +15,15 @@ from scipy.stats import t as student_t
 
 from shiftro.analytic import (OODRO, WSBALL, coverage_band, exact_coverage,
                               oracle_toy_decision, prob_conservative, tv_distance)
-from shiftro.conformal import CalibScores, calib_scores, select_eta
-from shiftro.density_ratio import trivial_ratio
-from shiftro.harness import (ExperimentConfig, make_scenario, run_pipeline,
+from shiftro.conformal import CalibScores, select_eta
+from shiftro.harness import (ExperimentConfig, calibrate_replicate, run_pipeline,
                              run_replicate)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box, \
     worst_case_value
 from shiftro.numerics import RngStream, normal_quantile
-from shiftro.predictors import (MeanSpec, QuantileSpec, compute_residuals,
-                                fit_mean, fit_quantile)
-from shiftro.scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario,
-                               ToyScenario, build_knapsack_lp,
-                               build_shortest_path_lp, trace_path)
+from shiftro.scenarios import (TEST, GridScenario, KnapsackScenario, ToyScenario,
+                               build_knapsack_lp, build_shortest_path_lp,
+                               trace_path)
 from test_analytic import make_spread_world
 from test_lp import random_bounded_lp, vertex_enumeration_value
 
@@ -160,24 +157,6 @@ class TestCriterion4ToyPipeline:
         assert elapsed < self.BUDGET
 
 
-def _unweighted_calibration(config, rep):
-    """Mean model f, width model h and trivial-ratio eta of one replicate.
-
-    Follows `run_replicate` step for step (same streams, specs and sizes), so
-    the eta is the one the harness reports for that replicate.
-    """
-    seed = config.seed + rep
-    scenario = make_scenario(config)
-    train_f = scenario.sample(config.n_f, RngStream(seed, 1), TRAIN)
-    d1 = scenario.sample(config.n_h, RngStream(seed, 2), TRAIN)
-    d2 = scenario.sample(config.n_cal, RngStream(seed, 3), TRAIN)
-    f = fit_mean(train_f, MeanSpec(kind=config.mean_kind, seed=seed))
-    h = fit_quantile(d1.Z, np.abs(compute_residuals(d1, f)), config.alpha,
-                     QuantileSpec(kind=config.quantile_kind, seed=seed))
-    scores = calib_scores(d2, f, h, trivial_ratio(config.clip_lo, config.clip_hi))
-    return scenario, f, h, select_eta(scores, config.alpha).eta
-
-
 def _box_coverage(data, f, h, eta):
     """Share of rows whose cost lies in the box f(z) +- eta * h(z)."""
     center = f.predict(data.Z)
@@ -222,9 +201,10 @@ class TestCriterion5FigureThreeTable:
         triv_cfg = reports["trivial"].config
         diffs = []
         for rep in range(self.SHIFT_REPLICATES):
-            scenario, f, h, eta = _unweighted_calibration(triv_cfg, rep)
+            scenario, f, h, calib = calibrate_replicate(triv_cfg, rep)
+            eta = calib.eta
             if rep < triv_cfg.replicates:
-                # anchor: the recipe above is the one run_replicate runs
+                # anchor: the calibration is the one run_replicate reports
                 assert eta == reports["trivial"].rows[rep].eta, rep
             cov = []
             for world in (replace(scenario, shift=0.0), scenario):

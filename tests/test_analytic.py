@@ -1,12 +1,14 @@
 """Closed-form oracles and exact finite-world coverage checks."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from shiftro.analytic import (OODRO, WSBALL, DiscreteWorld, conditional_test_mean,
-                              coverage_band, exact_coverage,
-                              exact_coverage_reference, oracle_toy_decision,
+                              coverage_band, exact_coverage, oracle_toy_decision,
                               prob_conservative, tv_distance)
+from shiftro.conformal import CalibScores, select_eta
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.scenarios import TEST, ToyScenario
 
@@ -144,6 +146,23 @@ class TestDiscreteWorld:
         qh = w.q_hat(w.true_ratio)
         np.testing.assert_allclose(qh, w.q, atol=1e-12)
         np.testing.assert_allclose(w.q_hat([1.0, 1.0]), w.p)
+
+
+def exact_coverage_reference(world: DiscreteWorld, n_cal: int, alpha: float,
+                             weights) -> float:
+    """Slow per-tuple oracle for exact_coverage: every calibration tuple in
+    turn, each calibrated by select_eta itself."""
+    w = world._weight_values(weights)
+    scores = world.scores
+    order = np.argsort(scores)
+    total = 0.0
+    for tup in product(range(world.size), repeat=n_cal):
+        tup = np.array(tup)
+        prob = float(np.prod(world.p[tup]))
+        eta = select_eta(CalibScores(scores[tup], w[tup]), alpha).eta
+        cov = float(world.q[order][scores[order] <= eta].sum())
+        total += prob * cov
+    return total
 
 
 class TestExactCoverage:

@@ -170,6 +170,11 @@ class TestUncertaintyBox:
             np.testing.assert_allclose(block.upper[i], one.upper, rtol=1e-13, atol=1e-14)
 
 
+def _same_box(n, lower, upper):
+    """Block box holding the same 1-d interval for each of n rows."""
+    return BoxSet(np.full((n, 1), lower), np.full((n, 1), upper))
+
+
 class TestEmpiricalCoverage:
     def test_block_box_matches_box_list(self):
         g = RngStream(11).generator
@@ -177,37 +182,34 @@ class TestEmpiricalCoverage:
         lower = g.normal(size=(200, 3)) - 1.0
         upper = lower + 2.0 * g.random((200, 3))
         data = Dataset(np.zeros((200, 1)), C)
-        boxes = [BoxSet(lo, hi) for lo, hi in zip(lower, upper)]
-        want = float(np.mean([b.contains(c) for b, c in zip(boxes, C)]))
+        # reference: one box per row, checked row by row
+        want = float(np.mean([BoxSet(lo, hi).contains(c)
+                              for lo, hi, c in zip(lower, upper, C)]))
         assert 0.0 < want < 1.0
         assert empirical_coverage(data, BoxSet(lower, upper)) == want
-        assert empirical_coverage(data, boxes) == want
 
     def test_block_box_row_mismatch(self):
         data = Dataset(np.zeros((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
             empirical_coverage(data, BoxSet(np.zeros((2, 1)), np.ones((2, 1))))
 
-
     def test_infinite_boxes(self):
         data = Dataset(np.zeros((5, 1)), np.arange(5.0)[:, None])
-        boxes = [BoxSet([-np.inf], [np.inf])] * 5
-        assert empirical_coverage(data, boxes) == 1.0
+        assert empirical_coverage(data, _same_box(5, -np.inf, np.inf)) == 1.0
 
     def test_empty_width_off_center(self):
         data = Dataset(np.zeros((4, 1)), np.ones((4, 1)))
-        boxes = [BoxSet([0.0], [0.0])] * 4
-        assert empirical_coverage(data, boxes) == 0.0
+        assert empirical_coverage(data, _same_box(4, 0.0, 0.0)) == 0.0
 
     def test_hand_count(self):
         data = Dataset(np.zeros((4, 1)), np.array([[0.1], [0.5], [2.0], [-3.0]]))
-        boxes = [BoxSet([-1.0], [1.0])] * 4
-        assert empirical_coverage(data, boxes) == 0.5
+        assert empirical_coverage(data, _same_box(4, -1.0, 1.0)) == 0.5
 
     def test_row_mismatch(self):
-        data = Dataset(np.zeros((3, 1)), np.zeros((3, 1)))
+        # the right row count with the wrong cost dimension
+        data = Dataset(np.zeros((3, 1)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            empirical_coverage(data, [BoxSet([0.0], [1.0])] * 2)
+            empirical_coverage(data, _same_box(3, 0.0, 1.0))
 
 
 class TestCoverageGuarantees:

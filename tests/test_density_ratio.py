@@ -202,6 +202,14 @@ class TestKmmLabel:
         m = fit_kmm_label(train, zte, rng=RngStream(15))
         assert np.all(np.diff(m.objectives) <= 1e-10)
 
+    def test_one_dim_costs_at_fit_samples(self):
+        train, zte, _ = self._label_world(8, n=60)
+        m = fit_kmm_label(train, zte, rng=RngStream(16))
+        np.testing.assert_array_equal(m.weights(train.C[:, 0], train.Z),
+                                      m.weights(train.C, train.Z))
+        with pytest.raises(ValueError):
+            m.weights(train.C[:, 0] + 1.0, train.Z)
+
     def test_lambda_domain(self):
         train, zte, _ = self._label_world(7)
         with pytest.raises(ValueError):

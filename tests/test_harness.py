@@ -1,12 +1,15 @@
 """Pipeline orchestration, metrics, reports, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftro
 from shiftro.harness import (CSV_COLUMNS, ExperimentConfig, PipelineError, Report,
                              ReportRow, box_baseline, emit_report, empirical_var,
                              run_pipeline, run_replicate, _stage)
@@ -235,8 +238,12 @@ class TestEmitReport:
 
 class TestCli:
     def _run(self, *args):
+        # the CLI process imports the same package as this test process
+        src = str(Path(shiftro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "shiftro.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
 
     def test_selftest_passes(self):
         res = self._run("selftest")
@@ -268,11 +275,17 @@ class TestCli:
         {"shift_kind": "bogus"},
         {"sigma1": 0.0},
         {"sigma2": -1.0},
+        {"seed": -1},
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(dict(FAST_TOY, **bad)))
         res = self._run("toy", "--config", str(cfg))
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr
+
+    def test_negative_seed_flag_is_config_error(self):
+        res = self._run("toy", "--seed", "-1")
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
 

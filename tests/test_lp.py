@@ -69,6 +69,13 @@ class TestSolveLp:
         p = LinearProgram([-1, 0], [[0, 1]], [1], [0, 0], [np.inf, np.inf])
         assert solve_lp(p).status == UNBOUNDED
 
+    def test_unbounded_without_rows(self):
+        p = LinearProgram([1.0, 0.0], np.zeros((0, 2)), [], [-np.inf, 0.0],
+                          [np.inf, 1.0])
+        s = solve_lp(p)
+        assert s.status == UNBOUNDED and s.value == -np.inf
+        assert np.all(np.isnan(s.x))
+
     def test_free_variable(self):
         # min x0 s.t. x0 + x1 = 2, x1 in [0, 1], x0 free
         p = LinearProgram([1, 0], [[1, 1]], [2], [-np.inf, 0], [np.inf, 1])

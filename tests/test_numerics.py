@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from shiftro.numerics import RngStream, normal_cdf, normal_quantile, sample, solve_spd
+from shiftro.numerics import RngStream, normal_cdf, normal_quantile, solve_spd
 
 
 def gauss_cdf_quadrature(x):
@@ -132,8 +132,3 @@ class TestRngStream:
             rng.bernoulli(1.5)
         with pytest.raises(ValueError):
             RngStream(-1)
-
-    def test_named_sampler(self):
-        assert sample("bernoulli", RngStream(2), p=1.0) == 1.0
-        with pytest.raises(ValueError):
-            sample("poisson", RngStream(2), lam=1.0)

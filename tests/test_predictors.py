@@ -49,7 +49,7 @@ class TestFitMean:
     def test_ridge_recovers_exact_slope(self):
         z = RngStream(7).gaussian(0, 1, size=(200, 1))
         model = fit_mean(Dataset(z, 2 * z), MeanSpec(kind="ridge", ridge_lambda=0.0))
-        assert model.weights[0, 0] == pytest.approx(2.0, abs=1e-6)
+        assert model.params["W"][0, 0] == pytest.approx(2.0, abs=1e-6)
         np.testing.assert_allclose(model.predict([[3.0]]), [[6.0]], atol=1e-6)
 
     def test_ridge_constant_target(self):

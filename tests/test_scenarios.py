@@ -6,10 +6,9 @@ import pytest
 from shiftro.lp import BoxSet, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream
 from shiftro.scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario,
-                               SimpleScenario, ToyScenario, arc_box,
-                               build_knapsack_lp, build_shortest_path_lp,
-                               duplicate_edge_costs, sample_grid_costs,
-                               sample_knapsack_utils, trace_path)
+                               SimpleScenario, ToyScenario, build_knapsack_lp,
+                               build_shortest_path_lp, duplicate_edge_costs,
+                               trace_path)
 
 
 class TestToyScenario:
@@ -114,7 +113,7 @@ class TestGridScenario:
         lp = build_shortest_path_lp(scn)
         g = RngStream(8)
         z = g.gaussian(0, 1, size=10)
-        costs = sample_grid_costs(scn, z, g)
+        costs = scn.sample_costs_given(z, 1, g)[0]
         sol = solve_lp(type(lp)(duplicate_edge_costs(scn, costs), lp.A, lp.b,
                                 lp.lo, lp.hi))
         assert sol.status == "optimal"
@@ -123,7 +122,7 @@ class TestGridScenario:
 
     def test_cost_formula_at_zero_covariate(self):
         scn = GridScenario()
-        costs = sample_grid_costs(scn, np.zeros(10), RngStream(9))
+        costs = scn.sample_costs_given(np.zeros(10), 1, RngStream(9))[0]
         # pre-noise cost 3^5 + 1 = 244 per edge; noise in [3/4, 5/4]
         assert np.all(costs >= 244 * 0.75 - 1e-9)
         assert np.all(costs <= 244 * 1.25 + 1e-9)
@@ -133,22 +132,24 @@ class TestGridScenario:
         # drive one linear index strongly negative: theta row has >= 1 ones
         row = scn.theta[0]
         z = -10.0 * row * np.sqrt(scn.d) / max(row.sum(), 1.0)
-        costs = sample_grid_costs(scn, z, RngStream(10))
+        costs = scn.sample_costs_given(z, 1, RngStream(10))[0]
         assert costs[0] == pytest.approx(0.01)
 
     def test_same_stream_same_costs(self):
         scn = GridScenario()
         z = np.ones(10)
-        a = sample_grid_costs(scn, z, RngStream(11, 2))
-        b = sample_grid_costs(scn, z, RngStream(11, 2))
+        a = scn.sample_costs_given(z, 1, RngStream(11, 2))
+        b = scn.sample_costs_given(z, 1, RngStream(11, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_arc_duplication(self):
         scn = GridScenario()
-        box = BoxSet(np.zeros(40), np.arange(40.0))
-        dup = arc_box(scn, box)
-        assert dup.dim == 80
-        np.testing.assert_array_equal(dup.upper[::2], dup.upper[1::2])
+        dup = duplicate_edge_costs(scn, np.arange(40.0))
+        assert dup.shape == (80,)
+        np.testing.assert_array_equal(dup[::2], dup[1::2])
+        np.testing.assert_array_equal(dup[::2], np.arange(40.0))
+        with pytest.raises(ValueError):
+            duplicate_edge_costs(scn, np.arange(80.0))
 
 
 class TestKnapsackScenario:
@@ -186,12 +187,12 @@ class TestKnapsackScenario:
         g = RngStream(13)
         for _ in range(10):
             z = g.gaussian(0, 1, size=10)
-            assert np.all(sample_knapsack_utils(scn, z, g) >= 0.0)
+            assert np.all(scn.sample_costs_given(z, 1, g) >= 0.0)
 
     def test_zero_covariate_zero_utilities(self):
         scn = KnapsackScenario()
         np.testing.assert_array_equal(
-            sample_knapsack_utils(scn, np.zeros(10), RngStream(14)), 0.0)
+            scn.sample_costs_given(np.zeros(10), 1, RngStream(14)), 0.0)
 
     def test_per_item_mean(self):
         scn = KnapsackScenario()
