@@ -18,6 +18,7 @@ from math import factorial
 import numpy as np
 
 from .numerics import normal_cdf, normal_quantile
+from .scenarios import TEST
 
 OODRO = "oodro"
 WSBALL = "wsball"
@@ -29,16 +30,11 @@ def _check_alpha(alpha):
 
 
 def conditional_test_mean(z, scn) -> float:
-    """Mean of c | z under the shifted law.
-
-    Covariate shift leaves c|z ~ N(z, s2^2); under label shift the noise mean
-    moves by s2^2 s / (s1^2 + s2^2) (from conditioning the shifted joint).
-    """
+    """Mean of c | z under the shifted law: z plus the test noise mean, which
+    is zero under covariate shift and s2^2 s / (s1^2 + s2^2) under label
+    shift (from conditioning the shifted joint)."""
     z0 = float(np.atleast_1d(np.asarray(z, dtype=float))[0])
-    if scn.kind == "covariate":
-        return z0
-    total = scn.sigma1 ** 2 + scn.sigma2 ** 2
-    return z0 + scn.sigma2 ** 2 * scn.shift / total
+    return z0 + scn.phase_means(TEST)[1]
 
 
 def oracle_toy_decision(z, scn, alpha: float) -> int:

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 import numpy as np
 
-from .harness import (ExperimentConfig, PipelineError, RATIO_KINDS, emit_report,
-                      run_pipeline)
-
-_FLAG_FIELDS = {
-    "alpha": float, "seed": int, "shift": float, "shift_kind": str,
-    "ratio": str, "d": int, "replicates": int, "out": str, "format": str,
-}
+from .harness import ExperimentConfig, RATIO_KINDS, emit_report, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +58,7 @@ def _config_from_args(args) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             data[key] = val
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    merged = {**defaults, **data}
-    return ExperimentConfig.from_dict(merged)
+    return ExperimentConfig.from_dict(data)
 
 
 def _selftest() -> int:
@@ -163,9 +154,6 @@ def main(argv=None) -> int:
         for path in paths:
             print(f"wrote {path}")
         return 0
-    except PipelineError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

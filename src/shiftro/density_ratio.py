@@ -35,7 +35,13 @@ class RatioModel:
         raise NotImplementedError
 
     def weights(self, C, Z) -> np.ndarray:
-        """Clipped weights, one per row of Z (C may be None for covariate kinds)."""
+        """Clipped weights, one per row of Z (C may be None for covariate kinds).
+
+        A 1-D Z is a column of scalar covariates, one per entry.
+        """
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim < 2:
+            Z = Z.reshape(-1, 1)
         raw = np.asarray(self._raw(C, Z), dtype=float)
         return np.clip(raw, self.w_lo, self.w_hi)
 
@@ -56,7 +62,6 @@ class TrivialRatio(RatioModel):
     kind = "trivial"
 
     def _raw(self, C, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return np.ones(Z.shape[0])
 
 
@@ -88,7 +93,6 @@ class ClassifierRatio(RatioModel):
         self.params = params
 
     def _logits(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if self._arch == "linear":
             return Z @ self.params["W"][:, 0] + self.params["b"][0]
         out, _ = _mlp_forward(self.params, Z)
@@ -279,7 +283,6 @@ class KmmRatio(RatioModel):
         return np.clip(self._weights, self.w_lo, self.w_hi)
 
     def _raw(self, C, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape != self.fit_Z.shape or not np.array_equal(Z, self.fit_Z):
             raise ValueError("KMM weights are defined only at the samples they were fit on")
         if self.fit_C is not None and C is not None:
@@ -383,7 +386,7 @@ class GaussianOracleRatio(RatioModel):
         scn = self.scenario
         s = scn.shift
         if scn.kind == "covariate":
-            z = np.atleast_2d(np.asarray(Z, dtype=float))[:, 0]
+            z = Z[:, 0]
             return np.exp((2.0 * z * s - s * s) / (2.0 * scn.sigma1 ** 2))
         if scn.kind == "label":
             if C is None:

@@ -29,8 +29,7 @@ from .predictors import (Dataset, MeanSpec, QuantileSpec, compute_residuals,
                          fit_mean, fit_quantile)
 from . import analytic
 from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScenario,
-                        ToyScenario, build_knapsack_lp, build_shortest_path_lp,
-                        duplicate_edge_costs, trace_path)
+                        ToyScenario, build_knapsack_lp, trace_path)
 
 SCENARIOS = ("toy", "simple", "shortest-path", "knapsack")
 RATIO_KINDS = ("trivial", "cls-linear", "cls-mlp", "kmm-cov", "kmm-label", "oracle")
@@ -128,14 +127,13 @@ def make_scenario(config: ExperimentConfig):
     if config.scenario == "toy":
         return ToyScenario(config.sigma1, config.sigma2, config.shift,
                            config.shift_kind)
+    sizes = {} if config.d is None else {"d": config.d}
     if config.scenario == "simple":
-        return SimpleScenario(d=config.d if config.d else 4, shift=config.shift)
+        return SimpleScenario(shift=config.shift, **sizes)
     if config.scenario == "shortest-path":
-        return GridScenario(d=config.d if config.d else 10, shift=config.shift,
-                            theta_seed=config.seed)
+        return GridScenario(shift=config.shift, theta_seed=config.seed, **sizes)
     if config.scenario == "knapsack":
-        return KnapsackScenario(d=config.d if config.d else 10,
-                                shift=config.shift, theta_seed=config.seed)
+        return KnapsackScenario(shift=config.shift, theta_seed=config.seed, **sizes)
     raise ValueError(config.scenario)
 
 
@@ -180,18 +178,9 @@ def empirical_var(x, z, scenario, alpha: float, n_mc: int = 100,
     rng = rng if rng is not None else RngStream(0, 999)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     draws = scenario.sample_costs_given(np.asarray(z, dtype=float), n_mc, rng, TEST)
-    vals = np.sort(_objective_values(scenario, draws, xv))
+    vals = np.sort(scenario.lp_costs(draws) @ xv)
     k = int(math.ceil(alpha * n_mc))
     return float(vals[k - 1])
-
-
-def _objective_values(scenario, cost_draws, x):
-    if isinstance(scenario, KnapsackScenario):
-        return -(cost_draws @ x)
-    if isinstance(scenario, GridScenario):
-        dup = np.repeat(cost_draws, 2, axis=1)
-        return dup @ x
-    return cost_draws @ x
 
 
 def box_baseline(train_costs, alpha: float) -> BoxSet:
@@ -236,42 +225,27 @@ def _fit_ratio(config, scenario, train_z, d2: Dataset, test_z, seed):
     raise ValueError(kind)
 
 
-def _decision_lp(scenario):
-    """The decision LP that every evaluation row of a replicate shares; None
-    for the knapsack, whose robust LP is built from each row's box."""
-    if isinstance(scenario, (ToyScenario, SimpleScenario)):
-        return scenario.decision_lp()
-    if isinstance(scenario, GridScenario):
-        return build_shortest_path_lp(scenario)
-    return None
-
-
-def _decide(scenario, box: BoxSet, template: LinearProgram | None):
+def _decide(scenario, box: BoxSet, template: LinearProgram):
     """Robust decision for one uncertainty box; returns the decision vector.
 
-    ``template`` is the replicate's ``_decision_lp(scenario)``.
+    ``template`` is the replicate's ``scenario.decision_lp()``.
     """
-    if isinstance(scenario, (ToyScenario, SimpleScenario)):
-        sol = solve_robust_box(template, box)
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"robust toy LP ended {sol.status}")
-        return sol.x
-    if isinstance(scenario, GridScenario):
-        # For x >= 0 the box worst case is the upper corner, so the robust
-        # program reduces to a plain network LP and keeps integral vertices.
-        lp = LinearProgram(duplicate_edge_costs(scenario, box.upper), template.A,
-                           template.b, template.lo, template.hi)
-        sol = solve_lp(lp)
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"shortest-path LP ended {sol.status}")
-        trace_path(scenario, sol.x)
-        return sol.x
+    x_len = template.n
     if isinstance(scenario, KnapsackScenario):
         sol = solve_lp(build_knapsack_lp(scenario, box))
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"robust knapsack LP ended {sol.status}")
-        return sol.x[: scenario.n_items]
-    raise TypeError(f"unsupported scenario {type(scenario).__name__}")
+        x_len = scenario.n_items
+    elif isinstance(scenario, GridScenario):
+        # For x >= 0 the box worst case is the upper corner, so the robust
+        # program reduces to a plain network LP and keeps integral vertices.
+        sol = solve_lp(LinearProgram(scenario.lp_costs(box.upper), template.A,
+                                     template.b, template.lo, template.hi))
+    else:
+        sol = solve_robust_box(template, box)
+    if sol.status != OPTIMAL:
+        raise RuntimeError(f"{type(scenario).__name__} decision LP ended {sol.status}")
+    if isinstance(scenario, GridScenario):
+        trace_path(scenario, sol.x)
+    return sol.x[:x_len]
 
 
 def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
@@ -321,7 +295,7 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
     boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, mean_model,
                    quant_model, calib)
     covered = box_hits(eval_data.C, boxes)
-    template = _stage("decide", _decision_lp, scenario)
+    template = _stage("decide", scenario.decision_lp)
     conservative = np.zeros(eval_data.n, dtype=bool)
     var_vals = np.zeros(eval_data.n)
     for i in range(eval_data.n):

@@ -313,9 +313,6 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
 def solve_robust_box(p: LinearProgram, box: BoxSet) -> LpSolution:
     """Solve the box-robust problem, reporting the original-variable slice."""
     sol = solve_lp(robustify_box(p, box))
-    if sol.status != OPTIMAL:
-        return LpSolution(sol.x[: p.n] if sol.x.size >= p.n else sol.x,
-                          sol.value, sol.status)
     return LpSolution(sol.x[: p.n], sol.value, sol.status,
                       iterations=sol.iterations)
 

@@ -23,7 +23,6 @@ class Dataset:
 
     Z: np.ndarray
     C: np.ndarray
-    groups: np.ndarray | None = None
 
     def __post_init__(self):
         Z = np.atleast_2d(np.asarray(self.Z, dtype=float))

@@ -7,7 +7,11 @@
   frozen Bernoulli coefficient matrix,
 * knapsack: 20 items with squared-link utilities, budgeted fractional choice.
 
-Generators are deterministic given (scenario, RngStream, phase, n).
+Each world states its law once: a covariate draw, a noise draw and a block
+cost map, which ``sample`` and ``sample_costs_given`` share. Each also names
+its decision LP (``decision_lp``) and the map from cost rows to that LP's
+objective coefficients (``lp_costs``). Generators are deterministic given
+(scenario, RngStream, phase, n).
 """
 
 from __future__ import annotations
@@ -23,15 +27,69 @@ from .predictors import Dataset
 TRAIN = "train"
 TEST = "test"
 GRID_COST_FLOOR = 0.01
+GRID_SIDE = 5
+GRID_SOURCE = (0, 0)
+GRID_SINK = (GRID_SIDE - 1, GRID_SIDE - 1)
+# the grid's 40 undirected edges (right, then down, from each node) and their
+# 80 directed arcs, the two directions of an edge side by side
+GRID_EDGES = tuple(((i, j), nxt) for i in range(GRID_SIDE) for j in range(GRID_SIDE)
+                   for nxt in ((i, j + 1), (i + 1, j)) if max(nxt) < GRID_SIDE)
+GRID_ARCS = tuple(arc for u, v in GRID_EDGES for arc in ((u, v), (v, u)))
 
 
-def _check_phase(phase):
+def _check_draw(phase, n):
     if phase not in (TRAIN, TEST):
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
+    if n < 1:
+        raise ValueError("need at least one sample")
+
+
+def _rowwise_matvec(theta, Z):
+    """theta @ z for every row z of Z (or of a single row broadcast).
+
+    The batched matmul gives each row the bytes of a per-row ``theta @ z``;
+    ``Z @ theta.T`` sums in another order.
+    """
+    return np.matmul(theta, Z[..., None])[..., 0]
+
+
+class _World:
+    """Sampling and the sign-decision LP shared by the four worlds.
+
+    A subclass draws covariates with ``_covariates(n, rng, phase)`` (an
+    ``(n, d)`` block), noise with ``_noise(n, rng, phase)``, and maps both to
+    cost rows with ``_costs(Z, noise)``, where ``Z`` is either the covariate
+    block or one row broadcast over the noise rows.
+    """
+
+    @property
+    def n_cost(self) -> int:
+        return 1
+
+    def sample(self, n: int, rng: RngStream, phase: str = TRAIN) -> Dataset:
+        _check_draw(phase, n)
+        Z = self._covariates(n, rng, phase)
+        return Dataset(Z, self._costs(Z, self._noise(n, rng, phase)))
+
+    def sample_costs_given(self, z, n_mc: int, rng: RngStream,
+                           phase: str = TEST) -> np.ndarray:
+        """Draws of c | z under the phase law, shape (n_mc, n_cost)."""
+        _check_draw(phase, n_mc)
+        z = np.asarray(z, dtype=float).reshape(1, -1)
+        return self._costs(z, self._noise(n_mc, rng, phase))
+
+    def decision_lp(self) -> LinearProgram:
+        """min c*x over -1 <= x <= 1 (objective filled by the robust layer)."""
+        return LinearProgram(c=[0.0], A=np.zeros((0, 1)), b=[],
+                             lo=[-1.0], hi=[1.0])
+
+    def lp_costs(self, C):
+        """Objective coefficients of the decision for cost rows C."""
+        return C
 
 
 @dataclass(frozen=True)
-class ToyScenario:
+class ToyScenario(_World):
     """1-d world: c = z + eps; P has z ~ N(0, s1^2), eps ~ N(0, s2^2)."""
 
     sigma1: float = 1.0
@@ -51,14 +109,13 @@ class ToyScenario:
     def d(self) -> int:
         return 1
 
-    @property
-    def n_cost(self) -> int:
-        return 1
+    def phase_means(self, phase):
+        """Means of (z, eps) under the phase law.
 
-    def _phase_means(self, phase):
-        # Under the shifted law both z and eps pick up mean offsets; for
-        # covariate shift only z moves, for label shift the joint splits as
-        # z ~ N(s1^2 s / (s1^2 + s2^2), s1^2), eps ~ N(s2^2 s / (..), s2^2).
+        Under the shifted law both z and eps pick up mean offsets; for
+        covariate shift only z moves, for label shift the joint splits as
+        z ~ N(s1^2 s / (s1^2 + s2^2), s1^2), eps ~ N(s2^2 s / (..), s2^2).
+        """
         if phase == TRAIN or self.shift == 0.0:
             return 0.0, 0.0
         if self.kind == "covariate":
@@ -66,127 +123,79 @@ class ToyScenario:
         total = self.sigma1 ** 2 + self.sigma2 ** 2
         return self.sigma1 ** 2 * self.shift / total, self.sigma2 ** 2 * self.shift / total
 
-    def sample(self, n: int, rng: RngStream, phase: str = TRAIN) -> Dataset:
-        _check_phase(phase)
-        if n < 1:
-            raise ValueError("need at least one sample")
-        mz, me = self._phase_means(phase)
-        z = rng.gaussian(mz, self.sigma1 ** 2, size=n)
-        eps = rng.gaussian(me, self.sigma2 ** 2, size=n)
-        return Dataset(z[:, None], (z + eps)[:, None])
+    def _covariates(self, n, rng, phase):
+        return rng.gaussian(self.phase_means(phase)[0], self.sigma1 ** 2, size=(n, 1))
 
-    def sample_costs_given(self, z, n_mc: int, rng: RngStream,
-                           phase: str = TEST) -> np.ndarray:
-        """Draws of c | z under the phase law, shape (n_mc, 1)."""
-        _check_phase(phase)
-        _, me = self._phase_means(phase)
-        z0 = float(np.atleast_1d(np.asarray(z, dtype=float))[0])
-        eps = rng.gaussian(me, self.sigma2 ** 2, size=n_mc)
-        return (z0 + eps)[:, None]
+    def _noise(self, n, rng, phase):
+        return rng.gaussian(self.phase_means(phase)[1], self.sigma2 ** 2, size=(n, 1))
 
-    def decision_lp(self) -> LinearProgram:
-        """min c*x over -1 <= x <= 1 (objective filled by the robust layer)."""
-        return LinearProgram(c=[0.0], A=np.zeros((0, 1)), b=[],
-                             lo=[-1.0], hi=[1.0])
+    def _costs(self, Z, eps):
+        return Z + eps
+
+
+class _GaussianCovariates(_World):
+    """d-dim worlds: z ~ N(0, I_d) in training, N(shift * 1_d, I_d) at test."""
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("d must be at least 1")
+
+    def _covariates(self, n, rng, phase):
+        mean = np.full(self.d, self.shift) if phase == TEST else np.zeros(self.d)
+        return rng.gaussian(0.0, 1.0, size=(n, self.d)) + mean
 
 
 @dataclass(frozen=True)
-class SimpleScenario:
+class SimpleScenario(_GaussianCovariates):
     """Multi-d covariates; c = (sign(z1) + eps) * sqrt(|z1|), eps ~ N(0, 0.1)."""
 
     d: int = 4
     noise_var: float = 0.1
     shift: float = 1.0           # test mean is shift * 1_d
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
+    def _noise(self, n, rng, phase):
+        return rng.gaussian(0.0, self.noise_var, size=n)
 
-    @property
-    def n_cost(self) -> int:
-        return 1
-
-    def _mean(self, phase):
-        return np.full(self.d, self.shift) if phase == TEST else np.zeros(self.d)
-
-    def sample(self, n: int, rng: RngStream, phase: str = TRAIN) -> Dataset:
-        _check_phase(phase)
-        if n < 1:
-            raise ValueError("need at least one sample")
-        z = rng.gaussian(0.0, 1.0, size=(n, self.d)) + self._mean(phase)
-        eps = rng.gaussian(0.0, self.noise_var, size=n)
-        c = (np.sign(z[:, 0]) + eps) * np.sqrt(np.abs(z[:, 0]))
-        return Dataset(z, c[:, None])
-
-    def sample_costs_given(self, z, n_mc: int, rng: RngStream,
-                           phase: str = TEST) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        eps = rng.gaussian(0.0, self.noise_var, size=n_mc)
-        c = (np.sign(z[0]) + eps) * np.sqrt(np.abs(z[0]))
-        return c[:, None]
-
-    def decision_lp(self) -> LinearProgram:
-        return LinearProgram(c=[0.0], A=np.zeros((0, 1)), b=[],
-                             lo=[-1.0], hi=[1.0])
-
-
-def _grid_edges(side: int = 5):
-    edges = []
-    for i in range(side):
-        for j in range(side):
-            if j + 1 < side:
-                edges.append(((i, j), (i, j + 1)))
-            if i + 1 < side:
-                edges.append(((i, j), (i + 1, j)))
-    return edges
+    def _costs(self, Z, eps):
+        z1 = Z[:, 0]
+        return ((np.sign(z1) + eps) * np.sqrt(np.abs(z1)))[:, None]
 
 
 @dataclass(frozen=True)
-class GridScenario:
+class GridScenario(_GaussianCovariates):
     """5x5 shortest-path world: 40 edges, costs ((Theta z / sqrt(d) + 3)^5 + 1) * eps."""
 
     d: int = 10
     shift: float = 1.0
     theta_seed: int = 7
     theta: np.ndarray = field(init=False)
-    edges: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        edges = _grid_edges(5)
-        theta = RngStream(self.theta_seed, 900).bernoulli(0.5, size=(len(edges), self.d))
+        super().__post_init__()
+        theta = RngStream(self.theta_seed, 900).bernoulli(0.5, size=(self.n_edges, self.d))
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(GRID_EDGES)
 
     @property
     def n_cost(self) -> int:
         return self.n_edges
 
-    def _mean(self, phase):
-        return np.full(self.d, self.shift) if phase == TEST else np.zeros(self.d)
+    def _noise(self, n, rng, phase):
+        return rng.uniform(0.75, 1.25, size=(n, self.n_edges))
 
-    def _edge_costs(self, z, noise):
-        base = (self.theta @ np.asarray(z, dtype=float) / np.sqrt(self.d) + 3.0) ** 5 + 1.0
+    def _costs(self, Z, noise):
+        base = (_rowwise_matvec(self.theta, Z) / np.sqrt(self.d) + 3.0) ** 5 + 1.0
         return np.maximum(base * noise, GRID_COST_FLOOR)
 
-    def sample(self, n: int, rng: RngStream, phase: str = TRAIN) -> Dataset:
-        _check_phase(phase)
-        if n < 1:
-            raise ValueError("need at least one sample")
-        z = rng.gaussian(0.0, 1.0, size=(n, self.d)) + self._mean(phase)
-        noise = rng.uniform(0.75, 1.25, size=(n, self.n_edges))
-        costs = np.array([self._edge_costs(z[i], noise[i]) for i in range(n)])
-        return Dataset(z, costs)
+    def decision_lp(self) -> LinearProgram:
+        return build_shortest_path_lp(self)
 
-    def sample_costs_given(self, z, n_mc: int, rng: RngStream,
-                           phase: str = TEST) -> np.ndarray:
-        noise = rng.uniform(0.75, 1.25, size=(n_mc, self.n_edges))
-        return self._edge_costs(z, noise)
+    def lp_costs(self, C):
+        """Arc costs: each edge's cost on both of its directed arcs."""
+        return np.repeat(C, 2, axis=-1)
 
 
 def build_shortest_path_lp(scn: GridScenario) -> LinearProgram:
@@ -195,20 +204,14 @@ def build_shortest_path_lp(scn: GridScenario) -> LinearProgram:
     Source is the top-left node, sink the bottom-right; the objective is a
     placeholder to be filled with (duplicated) arc costs per test point.
     """
-    nodes = [(i, j) for i in range(5) for j in range(5)]
-    index = {v: k for k, v in enumerate(nodes)}
-    arcs = []
-    for (u, v) in scn.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    A = np.zeros((len(nodes), len(arcs)))
-    for k, (u, v) in enumerate(arcs):
-        A[index[u], k] += 1.0
-        A[index[v], k] -= 1.0
-    b = np.zeros(len(nodes))
-    b[index[(0, 0)]] = 1.0
-    b[index[(4, 4)]] = -1.0
-    n = len(arcs)
+    A = np.zeros((GRID_SIDE * GRID_SIDE, len(GRID_ARCS)))
+    for k, ((ui, uj), (vi, vj)) in enumerate(GRID_ARCS):
+        A[ui * GRID_SIDE + uj, k] += 1.0
+        A[vi * GRID_SIDE + vj, k] -= 1.0
+    b = np.zeros(A.shape[0])
+    b[GRID_SOURCE[0] * GRID_SIDE + GRID_SOURCE[1]] = 1.0
+    b[GRID_SINK[0] * GRID_SIDE + GRID_SINK[1]] = -1.0
+    n = len(GRID_ARCS)
     return LinearProgram(c=np.zeros(n), A=A, b=b,
                          lo=np.zeros(n), hi=np.full(n, np.inf))
 
@@ -218,7 +221,7 @@ def duplicate_edge_costs(scn: GridScenario, edge_values) -> np.ndarray:
     v = np.asarray(edge_values, dtype=float)
     if v.shape != (scn.n_edges,):
         raise ValueError(f"expected {scn.n_edges} edge values")
-    return np.repeat(v, 2)
+    return scn.lp_costs(v)
 
 
 def trace_path(scn: GridScenario, x, tol: float = 1e-6):
@@ -231,16 +234,12 @@ def trace_path(scn: GridScenario, x, tol: float = 1e-6):
     rounded = np.round(x)
     if np.max(np.abs(x - rounded)) > tol or np.any((rounded != 0) & (rounded != 1)):
         raise ValueError("solution is not a 0/1 arc vector")
-    arcs = []
-    for (u, v) in scn.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    chosen = {u: v for (u, v), val in zip(arcs, rounded) if val == 1}
+    chosen = {u: v for (u, v), val in zip(GRID_ARCS, rounded) if val == 1}
     if len(chosen) != int(rounded.sum()):
         raise ValueError("solution revisits a node")
-    path = [(0, 0)]
-    seen = {(0, 0)}
-    while path[-1] != (4, 4):
+    path = [GRID_SOURCE]
+    seen = {GRID_SOURCE}
+    while path[-1] != GRID_SINK:
         nxt = chosen.get(path[-1])
         if nxt is None or nxt in seen:
             raise ValueError("solution does not trace a simple source-sink path")
@@ -252,7 +251,7 @@ def trace_path(scn: GridScenario, x, tol: float = 1e-6):
 
 
 @dataclass(frozen=True)
-class KnapsackScenario:
+class KnapsackScenario(_GaussianCovariates):
     """20 items; utilities c = (Theta z)^2 * eps, eps ~ U(4/5, 6/5); budgeted."""
 
     d: int = 10
@@ -265,8 +264,9 @@ class KnapsackScenario:
     budget: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.n_items < 1:
-            raise ValueError("dimensions must be positive")
+        super().__post_init__()
+        if self.n_items < 1:
+            raise ValueError("n_items must be at least 1")
         stream = RngStream(self.theta_seed, 901)
         theta = stream.bernoulli(0.5, size=(self.n_items, self.d))
         prices = stream.uniform(1.0, 10.0, size=self.n_items)
@@ -281,42 +281,33 @@ class KnapsackScenario:
     def n_cost(self) -> int:
         return self.n_items
 
-    def _mean(self, phase):
-        return np.full(self.d, self.shift) if phase == TEST else np.zeros(self.d)
+    def _noise(self, n, rng, phase):
+        return rng.uniform(0.8, 1.2, size=(n, self.n_items))
 
-    def _utilities(self, z, noise):
-        return (self.theta @ np.asarray(z, dtype=float)) ** 2 * noise
+    def _costs(self, Z, noise):
+        return _rowwise_matvec(self.theta, Z) ** 2 * noise
 
-    def sample(self, n: int, rng: RngStream, phase: str = TRAIN) -> Dataset:
-        _check_phase(phase)
-        if n < 1:
-            raise ValueError("need at least one sample")
-        z = rng.gaussian(0.0, 1.0, size=(n, self.d)) + self._mean(phase)
-        noise = rng.uniform(0.8, 1.2, size=(n, self.n_items))
-        utils = np.array([self._utilities(z[i], noise[i]) for i in range(n)])
-        return Dataset(z, utils)
+    def decision_lp(self) -> LinearProgram:
+        """min 0'x s.t. p'x + slack = B, 0 <= x <= 1, slack >= 0 (the
+        objective is filled by the robust layer)."""
+        k = self.n_items
+        A = np.hstack([self.prices[None, :], np.ones((1, 1))])
+        return LinearProgram(c=np.zeros(k + 1), A=A, b=[self.budget],
+                             lo=np.zeros(k + 1), hi=np.concatenate([np.ones(k), [np.inf]]))
 
-    def sample_costs_given(self, z, n_mc: int, rng: RngStream,
-                           phase: str = TEST) -> np.ndarray:
-        noise = rng.uniform(0.8, 1.2, size=(n_mc, self.n_items))
-        return self._utilities(z, noise)
+    def lp_costs(self, C):
+        """Minimization costs: the negated utilities."""
+        return -C
 
 
 def build_knapsack_lp(scn: KnapsackScenario, utility_box: BoxSet) -> LinearProgram:
     """Robust LP for min -c'x s.t. p'x <= B, 0 <= x <= 1, c in the box.
 
     The utility box [l, u] maps to the objective-coefficient box [-u, -l];
-    the budget row carries a nonnegative slack.
+    the budget slack costs nothing.
     """
-    k = scn.n_items
-    if utility_box.dim != k:
-        raise ValueError(f"box dimension {utility_box.dim} != {k} items")
-    if scn.budget < 0:
-        raise ValueError("budget must be nonnegative")
-    A = np.hstack([scn.prices[None, :], np.ones((1, 1))])
-    base = LinearProgram(
-        c=np.zeros(k + 1), A=A, b=[scn.budget],
-        lo=np.zeros(k + 1), hi=np.concatenate([np.ones(k), [np.inf]]))
-    coeff = BoxSet(np.concatenate([-utility_box.upper, [0.0]]),
-                   np.concatenate([-utility_box.lower, [0.0]]))
-    return robustify_box(base, coeff)
+    if utility_box.dim != scn.n_items:
+        raise ValueError(f"box dimension {utility_box.dim} != {scn.n_items} items")
+    coeff = BoxSet(np.append(scn.lp_costs(utility_box.upper), 0.0),
+                   np.append(scn.lp_costs(utility_box.lower), 0.0))
+    return robustify_box(scn.decision_lp(), coeff)

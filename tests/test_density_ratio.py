@@ -295,3 +295,23 @@ class TestKernels:
         assert km.H.shape == (20, 20)
         assert km.K_te.shape == (20, 15)
         assert km.lam == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "oracle", "cls-linear", "cls-mlp", "kmm-cov"])
+def test_one_dim_covariate_vector_is_a_column(kind):
+    # a d=1 world's covariates as a flat vector: one weight per entry
+    g = RngStream(40)
+    tr = g.gaussian(0.0, 1.0, size=(300, 1))
+    te = g.gaussian(0.5, 1.0, size=(300, 1))
+    if kind == "trivial":
+        model = trivial_ratio()
+    elif kind == "oracle":
+        model = GaussianOracleRatio(ToyScenario(1.0, 1.0, 0.5, "covariate"))
+    elif kind == "kmm-cov":
+        model = fit_kmm_covariate(tr, te, n_iter=50)
+    else:
+        model = fit_classifier_ratio(tr, te, ClassifierSpec(kind=kind[4:], epochs=50))
+    z = model.fit_Z[:, 0] if kind == "kmm-cov" else np.linspace(-1.0, 1.0, 5)
+    w = model.weights(None, z)
+    assert w.shape == z.shape
+    np.testing.assert_array_equal(w, model.weights(None, z[:, None]))

@@ -64,6 +64,9 @@ class TestEmpiricalVar:
         class Point:
             def sample_costs_given(self, z, n, rng, phase):
                 return np.full((n, 2), [1.5, -2.0])
+
+            def lp_costs(self, C):
+                return C
         v = empirical_var([2.0, 1.0], [0.0], Point(), 0.8, 10, RngStream(2))
         assert v == pytest.approx(1.5 * 2 - 2.0)
 
@@ -83,6 +86,9 @@ class TestEmpiricalVar:
         class Seq:
             def sample_costs_given(self, z, n, rng, phase):
                 return np.arange(1.0, n + 1.0)[:, None]
+
+            def lp_costs(self, C):
+                return C
         v = empirical_var([1.0], [0.0], Seq(), 0.8, 10, RngStream(4))
         assert v == 8.0  # ceil(0.8 * 10) = 8th smallest
 

@@ -210,15 +210,43 @@ class TestKnapsackScenario:
         assert np.all(a.prices > 0)
 
 
+def _grid_reference(scn, z, noise):
+    base = (scn.theta @ z / np.sqrt(scn.d) + 3.0) ** 5 + 1.0
+    return np.maximum(base * noise, 0.01)
+
+
+def _knapsack_reference(scn, z, noise):
+    return (scn.theta @ z) ** 2 * noise
+
+
 def test_cost_draws_match_per_draw_reference():
     z = RngStream(17).gaussian(0, 1, size=10)
-    for scn, per_draw, (low, high) in (
-        (KnapsackScenario(), KnapsackScenario._utilities, (0.8, 1.2)),
-        (GridScenario(), GridScenario._edge_costs, (0.75, 1.25)),
+    for scn, per_draw, bounds in (
+        (KnapsackScenario(), _knapsack_reference, (0.8, 1.2)),
+        (GridScenario(), _grid_reference, (0.75, 1.25)),
     ):
+        # the per-draw formula of the world's cost law, on the same noise stream
         draws = scn.sample_costs_given(z, 50, RngStream(18))
-        # the per-draw loop the block replaced, on the same noise stream
-        noise = RngStream(18).uniform(low, high, size=(50, scn.n_cost))
+        noise = RngStream(18).uniform(*bounds, size=(50, scn.n_cost))
         want = np.array([per_draw(scn, z, noise[i]) for i in range(50)])
         assert draws.shape == want.shape
         assert draws.tobytes() == want.tobytes()
+
+        # sample: covariates first, then one noise row per covariate row
+        for phase, mean in ((TRAIN, 0.0), (TEST, scn.shift)):
+            data = scn.sample(60, RngStream(19), phase)
+            g = RngStream(19)
+            Z = g.gaussian(0.0, 1.0, size=(60, scn.d)) + mean
+            noise = g.uniform(*bounds, size=(60, scn.n_cost))
+            want = np.array([per_draw(scn, Z[i], noise[i]) for i in range(60)])
+            assert data.Z.tobytes() == Z.tobytes()
+            assert data.C.shape == want.shape
+            assert data.C.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scn", [ToyScenario(), SimpleScenario(), GridScenario(),
+                                 KnapsackScenario()],
+                         ids=["toy", "simple", "grid", "knapsack"])
+def test_cost_draws_reject_unknown_phase(scn):
+    with pytest.raises(ValueError, match="phase"):
+        scn.sample_costs_given(np.zeros(scn.d), 5, RngStream(20), phase="bogus")
