@@ -8,7 +8,9 @@ configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,42 +24,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "box uncertainty sets.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("toy", "simple", "shortest-path", "knapsack"):
+        # every dest but --config's is an ExperimentConfig field
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shift", type=float, default=None)
-        p.add_argument("--shift-kind", choices=("covariate", "label"), default=None)
-        p.add_argument("--ratio", choices=RATIO_KINDS, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json", "svg"), default=None)
-        p.add_argument("--config", type=str, default=None,
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--shift", type=float)
+        p.add_argument("--shift-kind", choices=("covariate", "label"))
+        p.add_argument("--ratio", dest="ratio_kind", choices=RATIO_KINDS)
+        p.add_argument("--d", type=int)
+        p.add_argument("--replicates", type=int)
+        p.add_argument("--workers", type=int)
+        p.add_argument("--out", type=str)
+        p.add_argument("--format", choices=("csv", "json", "svg"))
+        p.add_argument("--config", type=str,
                        help="JSON file mirroring ExperimentConfig field-for-field")
-        p.add_argument("--mean-kind", choices=("ridge", "mlp"), default=None)
-        p.add_argument("--quantile-kind", choices=("linear", "mlp"), default=None)
-        p.add_argument("--n-eval", type=int, default=None)
+        p.add_argument("--mean-kind", choices=("ridge", "mlp"))
+        p.add_argument("--quantile-kind", choices=("linear", "mlp"))
+        p.add_argument("--n-eval", type=int)
     sub.add_parser("selftest", help="quick internal consistency checks")
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's fields, then the subcommand's scenario, then every
+    flag given; validated once, after the merge."""
     data = {}
     if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-        data = cfg.to_dict()
+        with open(args.config) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("the config file must hold a JSON object")
     data["scenario"] = args.command
-    overrides = {
-        "alpha": args.alpha, "seed": args.seed, "shift": args.shift,
-        "shift_kind": args.shift_kind, "ratio_kind": args.ratio, "d": args.d,
-        "replicates": args.replicates, "workers": args.workers, "out": args.out,
-        "format": args.format, "mean_kind": args.mean_kind,
-        "quantile_kind": args.quantile_kind, "n_eval": args.n_eval,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            data[key] = val
+    names = {f.name for f in fields(ExperimentConfig)}
+    data.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     return ExperimentConfig.from_dict(data)
 
 

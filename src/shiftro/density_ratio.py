@@ -8,16 +8,16 @@ All emitted weights are truncated into the model's [w_lo, w_hi] bounds.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import RngStream, solve_spd
-from .predictors import Dataset, _fit_gradient, _mlp_forward, _mlp_init
+from .predictors import HIDDEN, Dataset, Predictor, _fit_gradient, _mlp_init
 
 DEFAULT_CLIP = (0.05, 20.0)
 KMM_MAX_SAMPLES = 400
+NEWTON_STEPS = 30
 
 
 class RatioModel:
@@ -46,16 +46,6 @@ class RatioModel:
         return np.clip(raw, self.w_lo, self.w_hi)
 
 
-def clip_weights(model: RatioModel, w_lo: float, w_hi: float) -> RatioModel:
-    """Copy of the model with new truncation bounds."""
-    if not (0.0 < w_lo <= w_hi):
-        raise ValueError(f"clip bounds must satisfy 0 < lo <= hi, got ({w_lo}, {w_hi})")
-    out = copy.copy(model)
-    out.w_lo = float(w_lo)
-    out.w_hi = float(w_hi)
-    return out
-
-
 class TrivialRatio(RatioModel):
     """w == 1 everywhere: ignores the distribution shift."""
 
@@ -76,35 +66,23 @@ def trivial_ratio(w_lo: float = DEFAULT_CLIP[0], w_hi: float = DEFAULT_CLIP[1]) 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str = "mlp"            # "linear" | "mlp"
-    hidden: int = 16
     epochs: int = 500
-    learning_rate: float = 0.01
-    newton_steps: int = 30
     seed: int = 0
 
 
 class ClassifierRatio(RatioModel):
-    """w(z) = p1(z) / (1 - p1(z)) from a train-vs-test probability classifier."""
+    """w(z) = p1(z) / (1 - p1(z)) from a train-vs-test probability classifier
+    whose single output is the logit of p1."""
 
-    def __init__(self, kind, params, w_lo, w_hi):
+    def __init__(self, kind, predictor: Predictor, w_lo, w_hi):
         super().__init__(w_lo, w_hi)
         self.kind = f"cls-{kind}"
-        self._arch = kind
-        self.params = params
-
-    def _logits(self, Z):
-        if self._arch == "linear":
-            return Z @ self.params["W"][:, 0] + self.params["b"][0]
-        out, _ = _mlp_forward(self.params, Z)
-        return out[:, 0]
-
-    def predict_proba(self, Z):
-        return 1.0 / (1.0 + np.exp(-self._logits(Z)))
+        self.predictor = predictor
 
     def _raw(self, C, Z):
         # log w = logit, so the ratio is exp(logit); exp saturates safely
         # because weights() clips right after.
-        return np.exp(np.clip(self._logits(Z), -700, 700))
+        return np.exp(np.clip(self.predictor.predict(Z)[:, 0], -700, 700))
 
 
 def _fit_logistic_newton(X, y, steps, ridge=1e-8):
@@ -138,24 +116,17 @@ def fit_classifier_ratio(train_z, test_z, spec: ClassifierSpec = ClassifierSpec(
     X = np.vstack([Ztr, Zte])
     y = np.concatenate([np.zeros(Ztr.shape[0]), np.ones(Zte.shape[0])])
     if spec.kind == "linear":
-        params = _fit_logistic_newton(X, y, spec.newton_steps)
-        model = ClassifierRatio("linear", params, *clip)
+        params = _fit_logistic_newton(X, y, NEWTON_STEPS)
+        bias = "b"
     elif spec.kind == "mlp":
-        rng = RngStream(spec.seed, 303)
-        params = _mlp_init(X.shape[1], spec.hidden, 1, rng)
-        params, _ = _fit_gradient(params, X, y[:, None], "logistic", 0.5,
-                                  spec.epochs, spec.learning_rate)
-        model = ClassifierRatio("mlp", params, *clip)
+        params = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(spec.seed, 303))
+        params, _ = _fit_gradient(params, X, y[:, None], "logistic", 0.5, spec.epochs)
+        bias = "b2"
     else:
         raise ValueError(f"unknown classifier kind {spec.kind!r}")
     # Unequal pool sizes bias the intercept by log(n_te / n_tr); remove it.
-    offset = np.log(Zte.shape[0] / Ztr.shape[0])
-    if abs(offset) > 0:
-        if "b" in model.params:
-            model.params["b"] = model.params["b"] - offset
-        else:
-            model.params["b2"] = model.params["b2"] - offset
-    return model
+    params[bias] = params[bias] - np.log(Zte.shape[0] / Ztr.shape[0])
+    return ClassifierRatio(spec.kind, Predictor(params), *clip)
 
 
 # ---------------------------------------------------------------------------
@@ -182,41 +153,6 @@ def gaussian_gram(X, Y, bandwidth: float) -> np.ndarray:
     sy = np.sum(Y * Y, axis=1)[None, :]
     d2 = np.maximum(sx + sy - 2.0 * X @ Y.T, 0.0)
     return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-
-
-@dataclass(frozen=True)
-class KernelMatrices:
-    """Gram matrices for KMM: K over train covariates, H over train costs,
-    K_te between train and test covariates."""
-
-    K: np.ndarray
-    H: np.ndarray | None
-    K_te: np.ndarray
-    bandwidth_z: float
-    bandwidth_c: float | None
-    lam: float
-
-
-def build_kernel_matrices(train_z, test_z, train_c=None, bandwidth_z=None,
-                          bandwidth_c=None, lam=None) -> KernelMatrices:
-    Ztr = np.atleast_2d(np.asarray(train_z, dtype=float))
-    Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
-    bz = median_bandwidth(Ztr) if bandwidth_z is None else bandwidth_z
-    if bz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bz}")
-    K = gaussian_gram(Ztr, Ztr, bz)
-    K_te = gaussian_gram(Ztr, Zte, bz)
-    H = None
-    bc = bandwidth_c
-    if train_c is not None:
-        Ctr = np.atleast_2d(np.asarray(train_c, dtype=float))
-        bc = median_bandwidth(Ctr) if bandwidth_c is None else bandwidth_c
-        if bc <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bc}")
-        H = gaussian_gram(Ctr, Ctr, bc)
-    n = Ztr.shape[0]
-    lam = 1e-3 * n if lam is None else lam
-    return KernelMatrices(K, H, K_te, bz, bc, lam)
 
 
 def project_box_meanband(v, cap: float, mean_lo: float, mean_hi: float) -> np.ndarray:
@@ -303,25 +239,25 @@ def _subsample(X, max_n, rng: RngStream | None, tag: int):
     return X[idx], idx
 
 
-def fit_kmm_covariate(train_z, test_z, bandwidth=None, cap: float = 1000.0,
-                      mean_slack=None, clip=DEFAULT_CLIP,
-                      max_samples: int = KMM_MAX_SAMPLES, rng: RngStream | None = None,
+def fit_kmm_covariate(train_z, test_z, cap: float = 1000.0, mean_slack=None,
+                      clip=DEFAULT_CLIP, rng: RngStream | None = None,
                       n_iter: int = 800) -> KmmRatio:
     """Match kernel mean embeddings of the weighted train covariates to the
     test covariates: minimize (1/N^2) w'Kw - (2/(NM)) w'K_te 1 subject to
-    0 <= w <= cap and |mean(w) - 1| <= mean_slack."""
+    0 <= w <= cap and |mean(w) - 1| <= mean_slack, with a Gaussian kernel of
+    median bandwidth."""
     Ztr = np.atleast_2d(np.asarray(train_z, dtype=float))
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if Ztr.shape[0] < 2 or Zte.shape[0] < 2:
         raise ValueError("KMM requires at least two samples on each side")
-    Ztr, idx = _subsample(Ztr, max_samples, rng, 11)
-    Zte, _ = _subsample(Zte, max_samples, rng, 12)
+    Ztr, idx = _subsample(Ztr, KMM_MAX_SAMPLES, rng, 11)
+    Zte, _ = _subsample(Zte, KMM_MAX_SAMPLES, rng, 12)
     n, m = Ztr.shape[0], Zte.shape[0]
     if mean_slack is None:
         mean_slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
-    km = build_kernel_matrices(Ztr, Zte, bandwidth_z=bandwidth)
-    quad = 2.0 * km.K / (n * n) + 1e-12 * np.eye(n)
-    lin = 2.0 * km.K_te.sum(axis=1) / (n * m)
+    bz = median_bandwidth(Ztr)
+    quad = 2.0 * gaussian_gram(Ztr, Ztr, bz) / (n * n) + 1e-12 * np.eye(n)
+    lin = 2.0 * gaussian_gram(Ztr, Zte, bz).sum(axis=1) / (n * m)
     w, objs = _projected_gradient(quad, lin, cap, mean_slack, n_iter)
     model = KmmRatio("kmm-cov", Ztr, None, w, *clip, objectives=objs)
     model.fit_indices = idx
@@ -329,32 +265,32 @@ def fit_kmm_covariate(train_z, test_z, bandwidth=None, cap: float = 1000.0,
 
 
 def fit_kmm_label(train: Dataset, test_z, lam=None, cap: float = 1000.0,
-                  mean_slack=None, clip=DEFAULT_CLIP,
-                  max_samples: int = KMM_MAX_SAMPLES, rng: RngStream | None = None,
+                  mean_slack=None, clip=DEFAULT_CLIP, rng: RngStream | None = None,
                   n_iter: int = 800) -> KmmRatio:
     """Label-shift KMM through the empirical conditional embedding.
 
-    With B = (H + lam I)^{-1} H, the embedding-matching loss expands to
+    With K, K_te Gaussian Gram matrices over covariates and H over costs
+    (median bandwidths), B = (H + lam I)^{-1} H and lam = 1e-3 N by default,
+    the embedding-matching loss expands to
     (1/N^2) w'B'KBw - (2/(NM)) w'B'K_te 1 + const; minimized by projected
     gradient over the same capped mean band as the covariate variant.
     """
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if train.n < 2 or Zte.shape[0] < 2:
         raise ValueError("KMM requires at least two samples on each side")
-    Ztr, idx = _subsample(train.Z, max_samples, rng, 21)
+    Ztr, idx = _subsample(train.Z, KMM_MAX_SAMPLES, rng, 21)
     Ctr = train.C[idx]
-    Zte, _ = _subsample(Zte, max_samples, rng, 22)
-    kernels = build_kernel_matrices(Ztr, Zte, train_c=Ctr, lam=lam)
-    n = kernels.K.shape[0]
-    m = kernels.K_te.shape[1]
-    if kernels.lam <= 0:
+    Zte, _ = _subsample(Zte, KMM_MAX_SAMPLES, rng, 22)
+    n, m = Ztr.shape[0], Zte.shape[0]
+    lam = 1e-3 * n if lam is None else lam
+    if lam <= 0:
         raise ValueError("lam must be positive")
-    H = kernels.H
-    B = solve_spd(H + kernels.lam * np.eye(n), H)
-    BtKB = B.T @ kernels.K @ B
-    quad = 2.0 * BtKB / (n * n)
+    bz = median_bandwidth(Ztr)
+    H = gaussian_gram(Ctr, Ctr, median_bandwidth(Ctr))
+    B = solve_spd(H + lam * np.eye(n), H)
+    quad = 2.0 * (B.T @ gaussian_gram(Ztr, Ztr, bz) @ B) / (n * n)
     quad = 0.5 * (quad + quad.T) + 1e-12 * np.eye(n)
-    lin = 2.0 * (B.T @ kernels.K_te.sum(axis=1)) / (n * m)
+    lin = 2.0 * (B.T @ gaussian_gram(Ztr, Zte, bz).sum(axis=1)) / (n * m)
     if mean_slack is None:
         mean_slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
     w, objs = _projected_gradient(quad, lin, cap, mean_slack, n_iter)
@@ -396,10 +332,3 @@ class GaussianOracleRatio(RatioModel):
             return np.exp((2.0 * c * s - s * s) / (2.0 * var))
         raise ValueError(f"unknown shift kind {scn.kind!r}")
 
-
-def gaussian_oracle_ratio(scenario, c, z) -> np.ndarray:
-    """Exact density-ratio values (unclipped) at (c, z)."""
-    model = GaussianOracleRatio(scenario, w_lo=1e-300, w_hi=1e300)
-    cs = None if c is None else np.atleast_1d(np.asarray(c, dtype=float))[:, None]
-    zs = np.atleast_1d(np.asarray(z, dtype=float))[:, None]
-    return model._raw(cs, zs)

@@ -16,6 +16,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -80,22 +81,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown ratio kind {self.ratio_kind!r}")
         if not (0.5 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        for name in ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var",
-                     "replicates", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.d is not None and self.d < 1:
-            raise ValueError("d must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
+        sizes = ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var",
+                 "replicates", "workers") + (() if self.d is None else ("d",))
+        for name in sizes:
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not (0 <= self.shift < math.inf):
+            raise ValueError(f"shift must be finite and nonnegative, got {self.shift!r}")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
             raise ValueError("the oracle ratio exists only for the toy scenario")
         if self.shift_kind not in ("covariate", "label"):
             raise ValueError(f"unknown shift kind {self.shift_kind!r}")
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
-            raise ValueError("sigma1 and sigma2 must be positive")
+        if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
+            raise ValueError("sigma1 and sigma2 must be positive and finite")
         if self.mean_kind not in ("ridge", "mlp"):
             raise ValueError(f"unknown mean model kind {self.mean_kind!r}")
         if self.quantile_kind not in ("linear", "mlp"):
@@ -116,11 +117,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def make_scenario(config: ExperimentConfig):
@@ -167,36 +163,18 @@ class Report:
         return float(np.median(vals))
 
 
-def empirical_var(x, z, scenario, alpha: float, n_mc: int = 100,
-                  rng: RngStream | None = None) -> float:
+def empirical_var(x, z, scenario, alpha: float, n_mc: int, rng: RngStream) -> float:
     """Empirical alpha-quantile of the LP objective over fresh cost draws.
 
     Uses the ceil(alpha * n_mc) order statistic (higher interpolation) of
     the objective value at decision x, with costs drawn from the test-phase
     conditional law at z.
     """
-    rng = rng if rng is not None else RngStream(0, 999)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     draws = scenario.sample_costs_given(np.asarray(z, dtype=float), n_mc, rng, TEST)
     vals = np.sort(scenario.lp_costs(draws) @ xv)
     k = int(math.ceil(alpha * n_mc))
     return float(vals[k - 1])
-
-
-def box_baseline(train_costs, alpha: float) -> BoxSet:
-    """Context-free baseline: symmetric box at the training-cost mean, scaled
-    by the smallest factor reaching empirical joint coverage >= alpha."""
-    C = np.asarray(train_costs, dtype=float)
-    if C.ndim == 1:
-        C = C[:, None]
-    if C.ndim != 2 or C.shape[0] == 0:
-        raise ValueError("training costs must be a nonempty 2-d block")
-    center = C.mean(axis=0)
-    scale = np.maximum(C.std(axis=0), 1e-12)
-    scores = np.max(np.abs(C - center) / scale, axis=1)
-    k = int(math.ceil(alpha * len(scores)))
-    t = float(np.sort(scores)[k - 1])
-    return BoxSet(center - t * scale, center + t * scale)
 
 
 def _stage(name, fn, *args, **kwargs):

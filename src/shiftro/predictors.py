@@ -15,6 +15,9 @@ import numpy as np
 from .numerics import RngStream, solve_spd
 
 WIDTH_FLOOR = 1e-6
+HIDDEN = 16             # MLP hidden units
+ADAM_STEP = 0.01        # Adam learning rate (MLP and logistic fits)
+SUBGRADIENT_STEP = 0.05  # initial step of the linear pinball fit
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,9 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
     return _loss(kind, out, Y, alpha, work), grads
 
 
-def _fit_gradient(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
-    """Full-batch training. Returns the best parameters seen, by loss."""
+def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
+    """Full-batch training, Adam at ADAM_STEP or subgradient descent from
+    SUBGRADIENT_STEP. Returns the best parameters seen, by loss."""
     params = {k: v.copy() for k, v in params.items()}
     if optimizer == "adam":
         m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -206,9 +210,9 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
                 v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
                 mh = m[k] / (1 - b1 ** t)
                 vh = v[k] / (1 - b2 ** t)
-                params[k] -= lr * mh / (np.sqrt(vh) + eps)
+                params[k] -= ADAM_STEP * mh / (np.sqrt(vh) + eps)
         else:  # subgradient descent with step decay
-            step = lr / np.sqrt(1.0 + t / 50.0)
+            step = SUBGRADIENT_STEP / np.sqrt(1.0 + t / 50.0)
             for k in params:
                 params[k] -= step * grads[k]
     loss, _ = loss_and_grad(params, Z, Y, kind, alpha, work)
@@ -245,9 +249,7 @@ class Predictor:
 class MeanSpec:
     kind: str = "ridge"          # "ridge" | "mlp"
     ridge_lambda: float = 1e-6
-    hidden: int = 16
     epochs: int = 500
-    learning_rate: float = 0.01
     seed: int = 0
 
 
@@ -265,9 +267,8 @@ def fit_mean(train: Dataset, spec: MeanSpec = MeanSpec()):
         return Predictor({"W": W, "b": cm - zm @ W})
     if spec.kind == "mlp":
         rng = RngStream(spec.seed, 101)
-        params = _mlp_init(train.d, spec.hidden, train.n_cost, rng)
-        params, _ = _fit_gradient(params, Z, C, "mse", 0.5,
-                                  spec.epochs, spec.learning_rate)
+        params = _mlp_init(train.d, HIDDEN, train.n_cost, rng)
+        params, _ = _fit_gradient(params, Z, C, "mse", 0.5, spec.epochs)
         return Predictor(params)
     raise ValueError(f"unknown mean model kind {spec.kind!r}")
 
@@ -286,10 +287,7 @@ def compute_residuals(data: Dataset, mean_model) -> np.ndarray:
 @dataclass(frozen=True)
 class QuantileSpec:
     kind: str = "linear"         # "linear" | "mlp"
-    hidden: int = 16
     epochs: int = 2000
-    learning_rate: float = 0.05
-    width_floor: float = WIDTH_FLOOR
     seed: int = 0
 
 
@@ -314,16 +312,13 @@ def fit_quantile(Z, abs_residuals, alpha: float, spec: QuantileSpec = QuantileSp
     q0 = np.quantile(Y, alpha, axis=0)
     if spec.kind == "linear":
         params = {"W": np.zeros((d, k)), "b": q0.copy()}
-        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha,
-                                  spec.epochs, spec.learning_rate,
+        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha, spec.epochs,
                                   optimizer="sgd")
     elif spec.kind == "mlp":
         rng = RngStream(spec.seed, 202)
-        params = _mlp_init(d, spec.hidden, k, rng)
+        params = _mlp_init(d, HIDDEN, k, rng)
         params["b2"] = q0.copy()
-        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha,
-                                  spec.epochs, min(spec.learning_rate, 0.01),
-                                  optimizer="adam")
+        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha, spec.epochs)
     else:
         raise ValueError(f"unknown quantile model kind {spec.kind!r}")
-    return Predictor(params, spec.width_floor)
+    return Predictor(params, WIDTH_FLOOR)

@@ -216,14 +216,6 @@ def build_shortest_path_lp(scn: GridScenario) -> LinearProgram:
                          lo=np.zeros(n), hi=np.full(n, np.inf))
 
 
-def duplicate_edge_costs(scn: GridScenario, edge_values) -> np.ndarray:
-    """Map a 40-edge vector onto the 80 directed arcs (both directions equal)."""
-    v = np.asarray(edge_values, dtype=float)
-    if v.shape != (scn.n_edges,):
-        raise ValueError(f"expected {scn.n_edges} edge values")
-    return scn.lp_costs(v)
-
-
 def trace_path(scn: GridScenario, x, tol: float = 1e-6):
     """Validate that x is a 0/1 flow tracing a connected source-sink path.
 

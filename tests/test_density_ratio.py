@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from shiftro.density_ratio import (ClassifierSpec, GaussianOracleRatio,
-                                   build_kernel_matrices, clip_weights,
                                    fit_classifier_ratio, fit_kmm_covariate,
-                                   fit_kmm_label, gaussian_gram,
-                                   gaussian_oracle_ratio, median_bandwidth,
+                                   fit_kmm_label, gaussian_gram, median_bandwidth,
                                    project_box_meanband, trivial_ratio)
 from shiftro.numerics import RngStream, solve_spd
 from shiftro.predictors import Dataset
@@ -37,16 +35,6 @@ class TestClipping:
         assert w[0] == 5.0 and w[1] == 0.1
         assert 0.1 < w[2] < 5.0
 
-    def test_clip_weights_copies(self):
-        base = trivial_ratio()
-        tight = clip_weights(base, 0.9, 1.1)
-        assert (tight.w_lo, tight.w_hi) == (0.9, 1.1)
-        assert (base.w_lo, base.w_hi) == (0.05, 20.0)
-        with pytest.raises(ValueError):
-            clip_weights(base, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            clip_weights(base, 3.0, 2.0)
-
 
 class TestClassifierRatio:
     def test_same_distribution_near_one(self):
@@ -61,8 +49,8 @@ class TestClassifierRatio:
         tr = g.normal(0, 1, size=(2000, 1))
         te = g.normal(1, 1, size=(2000, 1))
         m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="linear"))
-        assert m.params["W"][0, 0] == pytest.approx(1.0, abs=0.15)
-        assert m.params["b"][0] == pytest.approx(-0.5, abs=0.15)
+        assert m.predictor.params["W"][0, 0] == pytest.approx(1.0, abs=0.15)
+        assert m.predictor.params["b"][0] == pytest.approx(-0.5, abs=0.15)
 
     def test_outputs_clipped(self):
         g = RngStream(1).generator
@@ -80,7 +68,8 @@ class TestClassifierRatio:
         m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="mlp", epochs=300))
         X = np.vstack([tr, te])
         y = np.concatenate([np.zeros(1000), np.ones(1000)])
-        p = np.clip(m.predict_proba(X), 1e-12, 1 - 1e-12)
+        p = 1.0 / (1.0 + np.exp(-m.predictor.predict(X)[:, 0]))
+        p = np.clip(p, 1e-12, 1 - 1e-12)
         ll = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert ll <= np.log(2) + 1e-6
 
@@ -156,7 +145,7 @@ class TestKmmCovariate:
 
     def test_bandwidth_errors(self):
         with pytest.raises(ValueError):
-            fit_kmm_covariate(np.zeros((10, 1)), np.zeros((10, 1)), bandwidth=0.0)
+            gaussian_gram(np.zeros((10, 1)), np.zeros((10, 1)), 0.0)
         with pytest.raises(ValueError):
             fit_kmm_covariate(np.zeros((1, 1)), np.zeros((10, 1)))
 
@@ -214,6 +203,11 @@ class TestKmmLabel:
         train, zte, _ = self._label_world(7)
         with pytest.raises(ValueError):
             fit_kmm_label(train, zte, lam=0.0)
+        # the default is 1e-3 per fitted sample
+        train, zte, _ = self._label_world(9, n=60)
+        np.testing.assert_array_equal(
+            fit_kmm_label(train, zte, rng=RngStream(17)).sample_weights,
+            fit_kmm_label(train, zte, lam=0.06, rng=RngStream(17)).sample_weights)
 
 
 class TestKernelTrickExpansion:
@@ -241,23 +235,28 @@ class TestKernelTrickExpansion:
         assert quad_loss == pytest.approx(direct, rel=1e-10)
 
 
+def _exact(scn, C, Z):
+    """Oracle weights with clip bounds too wide to bind."""
+    return GaussianOracleRatio(scn, 1e-300, 1e300).weights(C, Z)
+
+
 class TestGaussianOracle:
     def test_no_shift_is_one(self):
         scn = ToyScenario(1.0, 1.0, 0.0, "covariate")
-        np.testing.assert_allclose(gaussian_oracle_ratio(scn, None, [2.3]), 1.0)
+        np.testing.assert_allclose(_exact(scn, None, [2.3]), 1.0)
 
     def test_symmetry_point(self):
         scn = ToyScenario(1.0, 1.0, 1.0, "covariate")
-        np.testing.assert_allclose(gaussian_oracle_ratio(scn, None, [0.5]), 1.0)
+        np.testing.assert_allclose(_exact(scn, None, [0.5]), 1.0)
 
     def test_covariate_value(self):
         scn = ToyScenario(1.0, 1.0, 1.0, "covariate")
-        val = gaussian_oracle_ratio(scn, None, [1.0])[0]
+        val = _exact(scn, None, [1.0])[0]
         assert val == pytest.approx(np.exp(0.5), rel=1e-12)
 
     def test_label_value(self):
         scn = ToyScenario(1.0, 1.0, 1.0, "label")
-        val = gaussian_oracle_ratio(scn, [1.0], [0.0])[0]
+        val = _exact(scn, [1.0], [0.0])[0]
         assert val == pytest.approx(np.exp((2 - 1) / 4.0), rel=1e-12)
 
     def test_montecarlo_density_ratio_identity(self):
@@ -265,7 +264,7 @@ class TestGaussianOracle:
         scn = ToyScenario(1.0, 1.0, 0.8, "covariate")
         g = RngStream(3).generator
         z_p = g.normal(0, 1, 200_000)
-        w = gaussian_oracle_ratio(scn, None, z_p)
+        w = _exact(scn, None, z_p)
         f = np.cos(z_p)
         z_q = g.normal(0.8, 1, 200_000)
         assert np.mean(w * f) == pytest.approx(np.mean(np.cos(z_q)), abs=0.01)
@@ -286,15 +285,9 @@ class TestKernels:
         K = gaussian_gram(X, X, 1.0)
         vals = np.linalg.eigvalsh(K)
         assert vals.min() > -1e-10
-
-    def test_build_kernel_matrices_shapes(self):
-        g = RngStream(5).generator
-        km = build_kernel_matrices(g.normal(size=(20, 2)), g.normal(size=(15, 2)),
-                                   train_c=g.normal(size=(20, 1)))
-        assert km.K.shape == (20, 20)
-        assert km.H.shape == (20, 20)
-        assert km.K_te.shape == (20, 15)
-        assert km.lam == pytest.approx(0.02)
+        # rectangular case: one row per X point, one column per Y point
+        assert gaussian_gram(X[:20], g.normal(size=(15, 2)), 1.0).shape == (20, 15)
+        assert gaussian_gram(X[:20, :1], X[:20, :1], 1.0).shape == (20, 20)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "oracle", "cls-linear", "cls-mlp", "kmm-cov"])

@@ -1,5 +1,6 @@
 """Pipeline orchestration, metrics, reports, and the CLI."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,13 +11,13 @@ import numpy as np
 import pytest
 
 import shiftro
+from shiftro.cli import _config_from_args, build_parser
 from shiftro.harness import (CSV_COLUMNS, ExperimentConfig, PipelineError, Report,
-                             ReportRow, box_baseline, emit_report, empirical_var,
-                             run_pipeline, run_replicate, _stage)
+                             ReportRow, emit_report, empirical_var, run_pipeline,
+                             run_replicate, _stage)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream, normal_quantile
-from shiftro.scenarios import GridScenario, ToyScenario, build_shortest_path_lp, \
-    duplicate_edge_costs
+from shiftro.scenarios import GridScenario, ToyScenario, build_shortest_path_lp
 
 FAST_TOY = dict(scenario="toy", alpha=0.8, shift=0.5, sigma2=0.5,
                 ratio_kind="oracle", mean_kind="ridge", quantile_kind="linear",
@@ -28,7 +29,7 @@ class TestConfig:
         cfg = ExperimentConfig(scenario="toy", alpha=0.7, seed=5)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        again = ExperimentConfig.from_json(path)
+        again = ExperimentConfig.from_dict(json.loads(path.read_text()))
         assert again == cfg
 
     def test_unknown_field_rejected(self):
@@ -91,36 +92,6 @@ class TestEmpiricalVar:
                 return C
         v = empirical_var([1.0], [0.0], Seq(), 0.8, 10, RngStream(4))
         assert v == 8.0  # ceil(0.8 * 10) = 8th smallest
-
-
-class TestBoxBaseline:
-    def test_alpha_one_spans_range(self):
-        g = RngStream(5).generator
-        C = g.normal(size=(200, 3))
-        box = box_baseline(C, 0.999)
-        assert np.all(box.lower <= C.min(axis=0) + 1e-9)
-        assert np.all(box.upper >= C.max(axis=0) - 1e-9)
-
-    def test_training_coverage_at_least_alpha(self):
-        g = RngStream(6).generator
-        for alpha in (0.6, 0.8, 0.9):
-            C = g.normal(size=(300, 2))
-            box = box_baseline(C, alpha)
-            inside = np.all((C >= box.lower) & (C <= box.upper), axis=1)
-            assert inside.mean() >= alpha
-
-    def test_one_dim_halfwidth_is_quantile_order_stat(self):
-        g = RngStream(7).generator
-        c = g.normal(size=400)
-        box = box_baseline(c, 0.8)
-        dev = np.sort(np.abs(c - c.mean()))
-        k = int(np.ceil(0.8 * 400))
-        half = (box.upper - box.lower)[0] / 2
-        assert half == pytest.approx(dev[k - 1], abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            box_baseline(np.zeros((0, 2)), 0.8)
 
 
 class TestPipeline:
@@ -282,6 +253,10 @@ class TestCli:
         {"sigma1": 0.0},
         {"sigma2": -1.0},
         {"seed": -1},
+        pytest.param({"shift": float("nan")}, id="shift=NaN"),
+        pytest.param({"shift": float("inf")}, id="shift=Infinity"),
+        pytest.param({"n_eval": 2.5}, id="n_eval=2.5"),
+        pytest.param({"sigma1": float("inf")}, id="sigma1=Infinity"),
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"
@@ -289,6 +264,44 @@ class TestCli:
         res = self._run("toy", "--config", str(cfg))
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
+
+    def test_config_file_without_scenario_takes_the_subcommand(self, tmp_path):
+        # the oracle ratio is valid only once the subcommand has set the toy world
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in FAST_TOY.items() if k != "scenario"}))
+        out = tmp_path / "report.csv"
+        res = self._run("toy", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert out.read_text().splitlines()[1].split(",")[1:3] == ["toy", "oracle"]
+
+    def test_every_flag_lands_in_its_field(self, tmp_path):
+        flags = {
+            "--alpha": ("alpha", "0.9", 0.9), "--seed": ("seed", "3", 3),
+            "--shift": ("shift", "0.25", 0.25),
+            "--shift-kind": ("shift_kind", "label", "label"),
+            "--ratio": ("ratio_kind", "kmm-cov", "kmm-cov"), "--d": ("d", "6", 6),
+            "--replicates": ("replicates", "4", 4), "--workers": ("workers", "2", 2),
+            "--out": ("out", "x.json", "x.json"), "--format": ("format", "json", "json"),
+            "--mean-kind": ("mean_kind", "ridge", "ridge"),
+            "--quantile-kind": ("quantile_kind", "linear", "linear"),
+            "--n-eval": ("n_eval", "7", 7),
+        }
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices["simple"]
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        assert options - {"-h", "--help", "--config"} == set(flags)
+        defaults = _config_from_args(parser.parse_args(["simple"]))
+        assert defaults == ExperimentConfig(scenario="simple")
+        cfg = tmp_path / "cfg.json"
+        for flag, (field, text, want) in flags.items():
+            config = _config_from_args(parser.parse_args(["simple", flag, text]))
+            assert getattr(config, field) == want != getattr(defaults, field), flag
+            # a flag overrides the same field of a config file
+            cfg.write_text(json.dumps({field: getattr(defaults, field)}))
+            config = _config_from_args(parser.parse_args(
+                ["simple", "--config", str(cfg), flag, text]))
+            assert getattr(config, field) == want, flag
 
     def test_negative_seed_flag_is_config_error(self):
         res = self._run("toy", "--seed", "-1")

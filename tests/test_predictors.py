@@ -5,9 +5,10 @@ import pytest
 
 from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio
 from shiftro.numerics import RngStream, normal_quantile
-from shiftro.predictors import (Dataset, MeanSpec, QuantileSpec, compute_residuals,
-                                fit_mean, fit_quantile, loss_and_grad, pinball,
-                                _mlp_init, _Workspace)
+from shiftro.predictors import (ADAM_STEP, HIDDEN, WIDTH_FLOOR, Dataset, MeanSpec,
+                                QuantileSpec, compute_residuals, fit_mean,
+                                fit_quantile, loss_and_grad, pinball, _mlp_init,
+                                _Workspace)
 
 
 class TestDataset:
@@ -158,9 +159,8 @@ class TestFitQuantile:
 
     def test_width_floor(self):
         y = np.zeros((50, 1))
-        h = fit_quantile(np.zeros((50, 1)), y, 0.8,
-                         QuantileSpec(kind="linear", width_floor=1e-6))
-        assert np.all(h.predict(np.zeros((3, 1))) >= 1e-6)
+        h = fit_quantile(np.zeros((50, 1)), y, 0.8, QuantileSpec(kind="linear"))
+        assert np.all(h.predict(np.zeros((3, 1))) >= WIDTH_FLOOR)
 
     def test_mlp_learns_width_structure(self):
         g = RngStream(15).generator
@@ -320,10 +320,10 @@ class TestWorkspace:
         model = fit_classifier_ratio(train_z, test_z, spec)
         X = np.vstack([train_z, test_z])
         y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
-        init = _mlp_init(4, spec.hidden, 1, RngStream(spec.seed, 303))
-        want = _reference_fit(init, X, y, "logistic", 0.5, spec.epochs,
-                              spec.learning_rate)
+        init = _mlp_init(4, HIDDEN, 1, RngStream(spec.seed, 303))
+        want = _reference_fit(init, X, y, "logistic", 0.5, spec.epochs, ADAM_STEP)
         want["b2"] = want["b2"] - np.log(200 / 300)
-        assert model.params.keys() == want.keys()
+        params = model.predictor.params
+        assert params.keys() == want.keys()
         for key in want:
-            _assert_same_bits(model.params[key], want[key])
+            _assert_same_bits(params[key], want[key])

@@ -7,8 +7,7 @@ from shiftro.lp import BoxSet, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream
 from shiftro.scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario,
                                SimpleScenario, ToyScenario, build_knapsack_lp,
-                               build_shortest_path_lp, duplicate_edge_costs,
-                               trace_path)
+                               build_shortest_path_lp, trace_path)
 
 
 class TestToyScenario:
@@ -114,8 +113,7 @@ class TestGridScenario:
         g = RngStream(8)
         z = g.gaussian(0, 1, size=10)
         costs = scn.sample_costs_given(z, 1, g)[0]
-        sol = solve_lp(type(lp)(duplicate_edge_costs(scn, costs), lp.A, lp.b,
-                                lp.lo, lp.hi))
+        sol = solve_lp(type(lp)(scn.lp_costs(costs), lp.A, lp.b, lp.lo, lp.hi))
         assert sol.status == "optimal"
         assert np.max(np.abs(lp.A @ sol.x - lp.b)) <= 1e-7
         trace_path(scn, sol.x)
@@ -144,12 +142,10 @@ class TestGridScenario:
 
     def test_arc_duplication(self):
         scn = GridScenario()
-        dup = duplicate_edge_costs(scn, np.arange(40.0))
+        dup = scn.lp_costs(np.arange(40.0))
         assert dup.shape == (80,)
         np.testing.assert_array_equal(dup[::2], dup[1::2])
         np.testing.assert_array_equal(dup[::2], np.arange(40.0))
-        with pytest.raises(ValueError):
-            duplicate_edge_costs(scn, np.arange(80.0))
 
 
 class TestKnapsackScenario:
