@@ -285,9 +285,20 @@ class TestKernels:
         K = gaussian_gram(X, X, 1.0)
         vals = np.linalg.eigvalsh(K)
         assert vals.min() > -1e-10
-        # rectangular case: one row per X point, one column per Y point
-        assert gaussian_gram(X[:20], g.normal(size=(15, 2)), 1.0).shape == (20, 15)
-        assert gaussian_gram(X[:20, :1], X[:20, :1], 1.0).shape == (20, 20)
+
+    def test_build_kernel_matrices_shapes(self):
+        # the label-shift fit's K, H and K_te on 20 train and 15 test points
+        g = RngStream(5).generator
+        Z, Zte, C = g.normal(size=(20, 2)), g.normal(size=(15, 2)), g.normal(size=(20, 1))
+        bz = median_bandwidth(Z)
+        assert gaussian_gram(Z, Z, bz).shape == (20, 20)
+        assert gaussian_gram(C, C, median_bandwidth(C)).shape == (20, 20)
+        assert gaussian_gram(Z, Zte, bz).shape == (20, 15)
+        # lam defaults to 1e-3 per fitted sample: 0.02 here
+        train = Dataset(Z, C)
+        np.testing.assert_array_equal(
+            fit_kmm_label(train, Zte, rng=RngStream(6)).sample_weights,
+            fit_kmm_label(train, Zte, lam=0.02, rng=RngStream(6)).sample_weights)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "oracle", "cls-linear", "cls-mlp", "kmm-cov"])
