@@ -5,8 +5,9 @@ The solver handles ``min c'x  s.t.  Ax = b,  lo <= x <= hi`` with any mix of
 finite and infinite bounds (free variables sit nonbasic at zero). Phase 1
 minimizes the sum of artificial infeasibilities; phase 2 locks artificials at
 zero and optimizes the true objective. Dantzig pricing runs first, switching
-to Bland's rule after ``5 * (n + m)`` pivots to guarantee termination on
-degenerate instances (network LPs in particular).
+to Bland's rule after ``5 * (n + m)`` pricing steps of a phase (bound flips
+count) to guarantee termination on degenerate instances (network LPs in
+particular).
 """
 
 from __future__ import annotations
@@ -51,18 +52,21 @@ class LinearProgram:
             raise ValueError("A must be a 2-d array")
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else \
             np.zeros(0)
-        lo = np.broadcast_to(np.asarray(self.lo, dtype=float), c.shape).copy()
-        hi = np.broadcast_to(np.asarray(self.hi, dtype=float), c.shape).copy()
+        lo = np.full(c.shape, self.lo, dtype=float)
+        hi = np.full(c.shape, self.hi, dtype=float)
         m, n = A.shape
         if c.size != n:
             raise ValueError(f"objective length {c.size} != {n} columns of A")
         if b.size != m:
             raise ValueError(f"rhs length {b.size} != {m} rows of A")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("c, A, b must be finite")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("bounds must not be NaN")
-        if np.any(lo > hi):
+        if (lo == np.inf).any() or (hi == -np.inf).any():
+            raise ValueError("a lower bound of +inf or an upper bound of -inf "
+                             "leaves no value for its variable")
+        if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
@@ -101,9 +105,9 @@ class BoxSet:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("box bounds must share a shape")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("box bounds must not be NaN")
-        if np.any(lo > hi + 1e-12):
+        if (lo > hi + 1e-12).any():
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", np.maximum(lo, hi))
@@ -124,45 +128,34 @@ class BoxSet:
 class _Tableau:
     """Dense bounded-variable simplex state: basis, B^{-1}A, basic values."""
 
-    def __init__(self, A, b, lo, hi, state, basis, values):
+    def __init__(self, A, b, lo, hi, state, basis, T, xB):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
         self.state = state          # per-column state
         self.basis = basis          # row -> column index
-        self.xB = values            # basic variable values
-        self.T = None               # B^{-1} A
+        self.T = T                  # B^{-1} A
+        self.xB = xB                # basic variable values
         self.pivots = 0
-        self.refactor()
 
-    def nonbasic_value(self, j):
-        s = self.state[j]
-        if s == _AT_LO:
-            return self.lo[j]
-        if s == _AT_HI:
-            return self.hi[j]
-        return 0.0
-
-    def full_x(self):
-        x = np.array([self.nonbasic_value(j) for j in range(self.A.shape[1])])
-        x[self.basis] = self.xB
-        return x
+    def nonbasic_x(self):
+        """Every column at its nonbasic value; basic and free columns read 0."""
+        s = self.state
+        return np.where(s == _AT_LO, self.lo, np.where(s == _AT_HI, self.hi, 0.0))
 
     def refactor(self):
         B = self.A[:, self.basis]
         self.T = np.linalg.solve(B, self.A)
-        x = np.array([self.nonbasic_value(j) for j in range(self.A.shape[1])])
-        x[self.basis] = 0.0
-        self.xB = np.linalg.solve(B, self.b - self.A @ x)
+        self.xB = np.linalg.solve(B, self.b - self.A @ self.nonbasic_x())
 
     def pivot(self, row, col, new_basic_value):
         self.xB[row] = new_basic_value
-        piv = self.T[row, col]
-        self.T[row, :] /= piv
-        others = np.arange(self.T.shape[0]) != row
-        factors = self.T[others, col].copy()
-        self.T[others, :] -= np.outer(factors, self.T[row, :])
+        T = self.T
+        T[row] /= T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0          # the pivot row keeps its scaled values
+        T -= factors[:, None] * T[row]
         self.basis[row] = col
         self.pivots += 1
         if self.pivots % _REFACTOR_EVERY == 0:
@@ -174,82 +167,88 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
 
     Returns "optimal" or "unbounded". Mutates the tableau in place.
     """
-    m, n = tab.T.shape
-    locked = tab.lo == tab.hi  # fixed columns can never enter
+    m = tab.T.shape[0]
+    lo, hi, state, basis = tab.lo, tab.hi, tab.state, tab.basis
+    movable = lo != hi  # fixed columns can never enter
+    # entry directions, basic columns' bounds and costs, kept in step with
+    # state and basis
+    can_up = movable & ((state == _AT_LO) | (state == _FREE0))
+    can_dn = movable & ((state == _AT_HI) | (state == _FREE0))
+    cost_b, lo_b, hi_b = cost[basis], lo[basis], hi[basis]
+    ratios = np.empty(m)
     for it in range(_MAX_PIVOTS):
-        d = cost - cost[tab.basis] @ tab.T
-        state = tab.state
-        enter_up = ((state == _AT_LO) | (state == _FREE0)) & (d < -OPT_TOL) & ~locked
-        enter_dn = ((state == _AT_HI) | (state == _FREE0)) & (d > OPT_TOL) & ~locked
-        eligible = np.flatnonzero(enter_up | enter_dn)
+        d = cost - cost_b @ tab.T
+        enter_up = can_up & (d < -OPT_TOL)
+        eligible = (enter_up | (can_dn & (d > OPT_TOL))).nonzero()[0]
         if eligible.size == 0:
             return OPTIMAL
         if it < pivot_budget:
-            j = eligible[np.argmax(np.abs(d[eligible]))]
+            j = eligible[np.abs(d[eligible]).argmax()]
         else:
             j = eligible[0]  # Bland's rule: smallest index
-        direction = 1.0 if enter_up[j] else -1.0
-
-        col = tab.T[:, j]
-        delta = -direction * col  # xB changes by t * delta
-        ratios = np.full(m, np.inf)
+        going_up = enter_up[j]
+        direction = 1.0 if going_up else -1.0
+        delta = -tab.T[:, j] if going_up else tab.T[:, j]  # xB changes by t * delta
+        xB = tab.xB
         up = delta > PIVOT_TOL
-        dn = delta < -PIVOT_TOL
-        ratios[up] = (tab.hi[tab.basis[up]] - tab.xB[up]) / delta[up]
-        ratios[dn] = (tab.lo[tab.basis[dn]] - tab.xB[dn]) / delta[dn]
-        t_best = float(np.min(ratios)) if m else np.inf
-        leave_row = -1
-        leave_to = _AT_LO
-        if np.isfinite(t_best):
+        moving = up | (delta < -PIVOT_TOL)
+        ratios.fill(np.inf)
+        np.divide(np.where(up, hi_b, lo_b) - xB, delta, out=ratios, where=moving)
+        t_best = float(ratios.min()) if m else np.inf
+        if t_best < np.inf:
             t_best = max(t_best, 0.0)
-            # Among tied blocking rows take the smallest basis index
-            # (required for Bland's rule; harmless under Dantzig pricing).
-            tied = np.flatnonzero(ratios <= t_best + 1e-15)
-            leave_row = int(tied[np.argmin(tab.basis[tied])])
-            leave_to = _AT_HI if up[leave_row] else _AT_LO
-        span = tab.hi[j] - tab.lo[j]  # own-bound flip distance (inf for free)
-        if tab.state[j] == _FREE0:
-            span = np.inf
+        span = np.inf if state[j] == _FREE0 else hi[j] - lo[j]  # own-bound flip
         if span < t_best - 1e-15:
             # Bound flip: variable crosses its range, basis unchanged.
-            tab.xB += span * delta
-            tab.state[j] = _AT_HI if tab.state[j] == _AT_LO else _AT_LO
+            xB += span * delta
+            state[j] = _AT_HI if going_up else _AT_LO
+            can_up[j] = not going_up
+            can_dn[j] = going_up
             continue
-        if not np.isfinite(t_best):
+        if t_best == np.inf:
             return UNBOUNDED
-        start = tab.nonbasic_value(j)
-        tab.xB += t_best * delta
-        entering_value = start + direction * t_best
-        out_col = tab.basis[leave_row]
-        tab.state[out_col] = leave_to
-        tab.state[j] = _BASIC
-        tab.pivot(leave_row, j, entering_value)
+        # Among tied blocking rows take the smallest basis index
+        # (required for Bland's rule; harmless under Dantzig pricing).
+        tied = (ratios <= t_best + 1e-15).nonzero()[0]
+        row = tied[basis[tied].argmin()]
+        start = 0.0 if state[j] == _FREE0 else (lo[j] if going_up else hi[j])
+        xB += t_best * delta
+        out = basis[row]
+        state[out] = _AT_HI if up[row] else _AT_LO
+        can_up[out] = movable[out] and not up[row]
+        can_dn[out] = movable[out] and up[row]
+        state[j] = _BASIC
+        can_up[j] = can_dn[j] = False
+        cost_b[row], lo_b[row], hi_b[row] = cost[j], lo[j], hi[j]
+        tab.pivot(row, j, start + direction * t_best)
     raise RuntimeError("simplex failed to terminate within the pivot cap")
-
-
-def _initial_point(lo, hi):
-    x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    state = np.full(lo.size, _FREE0, dtype=int)
-    state[np.isfinite(lo)] = _AT_LO
-    finite_hi_only = ~np.isfinite(lo) & np.isfinite(hi)
-    state[finite_hi_only] = _AT_HI
-    return x0, state
 
 
 def solve_lp(p: LinearProgram) -> LpSolution:
     """Solve the LP, classifying the result as optimal/infeasible/unbounded."""
     m, n = p.m, p.n
-    x0, state0 = _initial_point(p.lo, p.hi)
-    resid = p.b - p.A @ x0
+    finite_lo, finite_hi = np.isfinite(p.lo), np.isfinite(p.hi)
+    x_ext = np.zeros(n + m)
+    x_ext[:n] = np.where(finite_lo, p.lo, np.where(finite_hi, p.hi, 0.0))
+    state = np.full(n + m, _BASIC)
+    state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
+    resid = p.b - p.A @ x_ext[:n]
     signs = np.where(resid >= 0.0, 1.0, -1.0)
-    A_ext = np.hstack([p.A, np.diag(signs)])
-    lo_ext = np.concatenate([p.lo, np.zeros(m)])
-    hi_ext = np.concatenate([p.hi, np.full(m, np.inf)])
-    state = np.concatenate([state0, np.full(m, _BASIC, dtype=int)])
+    # columns [A, diag(signs)]: one artificial per row, basic at |resid|
+    A_ext = np.zeros((m, n + m))
+    A_ext[:, :n] = p.A
     basis = np.arange(n, n + m)
-    tab = _Tableau(A_ext, p.b, lo_ext, hi_ext, state, basis, np.abs(resid))
+    A_ext[basis - n, basis] = signs
+    lo_ext = np.zeros(n + m)
+    lo_ext[:n] = p.lo
+    hi_ext = np.full(n + m, np.inf)
+    hi_ext[:n] = p.hi
+    # B = diag(signs) is its own inverse, so the start needs no solve
+    tab = _Tableau(A_ext, p.b, lo_ext, hi_ext, state, basis,
+                   A_ext * signs[:, None], (p.b - A_ext @ x_ext) * signs)
 
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    phase1_cost = np.zeros(n + m)
+    phase1_cost[n:] = 1.0
     budget = 5 * (n + m)
     status = _simplex_phase(tab, phase1_cost, budget)
     art_level = float(phase1_cost[tab.basis] @ tab.xB)
@@ -259,24 +258,22 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     # Lock artificials at zero for phase 2 (basic ones may stay, degenerate).
     tab.lo[n:] = 0.0
     tab.hi[n:] = 0.0
-    art_nonbasic = [j for j in range(n, n + m) if tab.state[j] != _BASIC]
-    for j in art_nonbasic:
-        tab.state[j] = _AT_LO
+    art_state = tab.state[n:]
+    art_state[art_state != _BASIC] = _AT_LO
 
-    phase2_cost = np.concatenate([p.c, np.zeros(m)])
+    phase2_cost = np.zeros(n + m)
+    phase2_cost[:n] = p.c
     status = _simplex_phase(tab, phase2_cost, budget)
     if status == UNBOUNDED:
         return LpSolution(np.full(n, np.nan), -np.inf, UNBOUNDED)
 
-    tab.refactor()
-    x_full = tab.full_x()
-    x = x_full[:n]
-    # Snap solver noise back into the bounds.
-    x = np.clip(x, np.where(np.isfinite(p.lo), p.lo, -np.inf),
-                np.where(np.isfinite(p.hi), p.hi, np.inf))
-    if np.max(np.abs(p.A @ x - p.b), initial=0.0) > FEAS_TOL:
-        raise RuntimeError("simplex returned a primal-infeasible point")
     B = A_ext[:, tab.basis]
+    x_full = tab.nonbasic_x()
+    x_full[tab.basis] = np.linalg.solve(B, p.b - A_ext @ x_full)
+    # Snap solver noise back into the bounds.
+    x = x_full[:n].clip(p.lo, p.hi)
+    if np.abs(p.A @ x - p.b).max(initial=0.0) > FEAS_TOL:
+        raise RuntimeError("simplex returned a primal-infeasible point")
     duals = np.linalg.solve(B.T, phase2_cost[tab.basis])
     reduced = p.c - p.A.T @ duals
     return LpSolution(x, float(p.c @ x), OPTIMAL, duals=duals,
@@ -294,19 +291,31 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     n, m = p.n, p.m
     if box.dim != n:
         raise ValueError(f"box dimension {box.dim} != {n} variables")
-    if not (np.all(np.isfinite(box.lower)) and np.all(np.isfinite(box.upper))):
+    if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
         raise ValueError("robust reformulation requires a finite box")
-    eye = np.eye(n)
-    zeros_mn = np.zeros((m, n))
-    # rows: [A 0 0 0] = b ; [-U I -I 0] = 0 ; [-L I 0 -I] = 0
-    top = np.hstack([p.A, zeros_mn, zeros_mn, zeros_mn])
-    mid = np.hstack([-np.diag(box.upper), eye, -eye, np.zeros((n, n))])
-    bot = np.hstack([-np.diag(box.lower), eye, np.zeros((n, n)), -eye])
-    A = np.vstack([top, mid, bot])
-    b = np.concatenate([p.b, np.zeros(2 * n)])
-    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(2 * n)])
-    lo = np.concatenate([p.lo, np.full(n, -np.inf), np.zeros(2 * n)])
-    hi = np.concatenate([p.hi, np.full(n, np.inf), np.full(2 * n, np.inf)])
+    # rows: [A 0 0 0] = b ; [-U I -I 0] = 0 ; [-L I 0 -I] = 0, where the
+    # negated diagonal blocks carry -0.0 off the diagonal, as negation gives
+    A = np.zeros((m + 2 * n, 4 * n))
+    A[:m, :n] = p.A
+    blocks = A[m:].reshape(2, n, 4, n)  # [row block, row, column block, column]
+    blocks[:, :, 0] = -0.0
+    blocks[0, :, 2] = -0.0
+    blocks[1, :, 3] = -0.0
+    i = np.arange(n)
+    blocks[0, i, 0, i] = -box.upper
+    blocks[1, i, 0, i] = -box.lower
+    blocks[:, i, 1, i] = 1.0
+    blocks[0, i, 2, i] = -1.0
+    blocks[1, i, 3, i] = -1.0
+    b = np.zeros(m + 2 * n)
+    b[:m] = p.b
+    c = np.zeros(4 * n)
+    c[n:2 * n] = 1.0
+    lo = np.zeros(4 * n)
+    lo[:n] = p.lo
+    lo[n:2 * n] = -np.inf
+    hi = np.full(4 * n, np.inf)
+    hi[:n] = p.hi
     return LinearProgram(c, A, b, lo, hi)
 
 

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from shiftro.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, BoxSet, LinearProgram,
-                        LpSolution, robustify_box, solve_lp, solve_robust_box,
-                        worst_case_value)
+from shiftro import lp
+from shiftro.harness import ExperimentConfig, make_scenario
+from shiftro.lp import (_AT_HI, _AT_LO, _BASIC, _FREE0, _MAX_PIVOTS, _REFACTOR_EVERY,
+                        FEAS_TOL, INFEASIBLE, OPT_TOL, OPTIMAL, PIVOT_TOL, UNBOUNDED,
+                        BoxSet, LinearProgram, LpSolution, robustify_box, solve_lp,
+                        solve_robust_box, worst_case_value)
+from shiftro.scenarios import build_knapsack_lp
 
 
 def vertex_enumeration_value(p: LinearProgram) -> float:
@@ -91,6 +95,16 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             LinearProgram([1], [[1]], [1], [2], [1])
 
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf])
+    def test_infinite_equal_bounds_rejected(self, bound):
+        # lo = hi = +inf (or -inf) leaves the variable no value; it used to
+        # solve to x = 0 as "optimal"
+        with pytest.raises(ValueError, match="no value"):
+            LinearProgram([1.0], np.zeros((0, 1)), [], [bound], [bound])
+        with pytest.raises(ValueError, match="no value"):
+            LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, bound],
+                          [1.0, bound])
+
     def test_random_instances_match_vertex_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(150):
@@ -121,7 +135,8 @@ class TestSolveLp:
                     assert d[j] <= 1e-7
 
     def test_degenerate_network_terminates(self):
-        # tiny grid with many ties exercises the Bland fallback path
+        # tiny grid with degenerate ties; it ends after 4 pivots, well inside
+        # the Dantzig budget (Bland's rule is driven in TestAgainstReference)
         A = np.array([
             [1, 1, -1, 0, 0, 0],
             [-1, 0, 1, 1, -1, 0],
@@ -246,3 +261,264 @@ class TestBoxSet:
         with pytest.raises(ValueError):
             robustify_box(LinearProgram([0.0], np.zeros((0, 1)), [], [0.0], [1.0]),
                           box)
+
+
+# The bounded simplex as it stood before its inner loop was rewritten with
+# fewer numpy calls per pivot: the reference the lean solver must match bit for
+# bit, in every LpSolution field and in the pivot count.
+
+class _RefTableau:
+    def __init__(self, A, b, lo, hi, state, basis, values):
+        self.A = A
+        self.b = b
+        self.lo = lo
+        self.hi = hi
+        self.state = state
+        self.basis = basis
+        self.xB = values
+        self.T = None
+        self.pivots = 0
+        self.refactor()
+
+    def nonbasic_value(self, j):
+        s = self.state[j]
+        if s == _AT_LO:
+            return self.lo[j]
+        if s == _AT_HI:
+            return self.hi[j]
+        return 0.0
+
+    def full_x(self):
+        x = np.array([self.nonbasic_value(j) for j in range(self.A.shape[1])])
+        x[self.basis] = self.xB
+        return x
+
+    def refactor(self):
+        B = self.A[:, self.basis]
+        self.T = np.linalg.solve(B, self.A)
+        x = np.array([self.nonbasic_value(j) for j in range(self.A.shape[1])])
+        x[self.basis] = 0.0
+        self.xB = np.linalg.solve(B, self.b - self.A @ x)
+
+    def pivot(self, row, col, new_basic_value):
+        self.xB[row] = new_basic_value
+        piv = self.T[row, col]
+        self.T[row, :] /= piv
+        others = np.arange(self.T.shape[0]) != row
+        factors = self.T[others, col].copy()
+        self.T[others, :] -= np.outer(factors, self.T[row, :])
+        self.basis[row] = col
+        self.pivots += 1
+        if self.pivots % _REFACTOR_EVERY == 0:
+            self.refactor()
+
+
+def _ref_simplex_phase(tab, cost, pivot_budget):
+    m, n = tab.T.shape
+    locked = tab.lo == tab.hi
+    for it in range(_MAX_PIVOTS):
+        d = cost - cost[tab.basis] @ tab.T
+        state = tab.state
+        enter_up = ((state == _AT_LO) | (state == _FREE0)) & (d < -OPT_TOL) & ~locked
+        enter_dn = ((state == _AT_HI) | (state == _FREE0)) & (d > OPT_TOL) & ~locked
+        eligible = np.flatnonzero(enter_up | enter_dn)
+        if eligible.size == 0:
+            return OPTIMAL
+        if it < pivot_budget:
+            j = eligible[np.argmax(np.abs(d[eligible]))]
+        else:
+            j = eligible[0]
+        direction = 1.0 if enter_up[j] else -1.0
+
+        col = tab.T[:, j]
+        delta = -direction * col
+        ratios = np.full(m, np.inf)
+        up = delta > PIVOT_TOL
+        dn = delta < -PIVOT_TOL
+        ratios[up] = (tab.hi[tab.basis[up]] - tab.xB[up]) / delta[up]
+        ratios[dn] = (tab.lo[tab.basis[dn]] - tab.xB[dn]) / delta[dn]
+        t_best = float(np.min(ratios)) if m else np.inf
+        leave_row = -1
+        leave_to = _AT_LO
+        if np.isfinite(t_best):
+            t_best = max(t_best, 0.0)
+            tied = np.flatnonzero(ratios <= t_best + 1e-15)
+            leave_row = int(tied[np.argmin(tab.basis[tied])])
+            leave_to = _AT_HI if up[leave_row] else _AT_LO
+        span = tab.hi[j] - tab.lo[j]
+        if tab.state[j] == _FREE0:
+            span = np.inf
+        if span < t_best - 1e-15:
+            tab.xB += span * delta
+            tab.state[j] = _AT_HI if tab.state[j] == _AT_LO else _AT_LO
+            continue
+        if not np.isfinite(t_best):
+            return UNBOUNDED
+        start = tab.nonbasic_value(j)
+        tab.xB += t_best * delta
+        entering_value = start + direction * t_best
+        out_col = tab.basis[leave_row]
+        tab.state[out_col] = leave_to
+        tab.state[j] = _BASIC
+        tab.pivot(leave_row, j, entering_value)
+    raise RuntimeError("simplex failed to terminate within the pivot cap")
+
+
+def _ref_initial_point(lo, hi):
+    x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    state = np.full(lo.size, _FREE0, dtype=int)
+    state[np.isfinite(lo)] = _AT_LO
+    finite_hi_only = ~np.isfinite(lo) & np.isfinite(hi)
+    state[finite_hi_only] = _AT_HI
+    return x0, state
+
+
+def _ref_solve_lp(p):
+    m, n = p.m, p.n
+    x0, state0 = _ref_initial_point(p.lo, p.hi)
+    resid = p.b - p.A @ x0
+    signs = np.where(resid >= 0.0, 1.0, -1.0)
+    A_ext = np.hstack([p.A, np.diag(signs)])
+    lo_ext = np.concatenate([p.lo, np.zeros(m)])
+    hi_ext = np.concatenate([p.hi, np.full(m, np.inf)])
+    state = np.concatenate([state0, np.full(m, _BASIC, dtype=int)])
+    basis = np.arange(n, n + m)
+    tab = _RefTableau(A_ext, p.b, lo_ext, hi_ext, state, basis, np.abs(resid))
+
+    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    budget = 5 * (n + m)
+    status = _ref_simplex_phase(tab, phase1_cost, budget)
+    art_level = float(phase1_cost[tab.basis] @ tab.xB)
+    if status != OPTIMAL or art_level > FEAS_TOL:
+        return LpSolution(np.full(n, np.nan), np.nan, INFEASIBLE)
+
+    tab.lo[n:] = 0.0
+    tab.hi[n:] = 0.0
+    art_nonbasic = [j for j in range(n, n + m) if tab.state[j] != _BASIC]
+    for j in art_nonbasic:
+        tab.state[j] = _AT_LO
+
+    phase2_cost = np.concatenate([p.c, np.zeros(m)])
+    status = _ref_simplex_phase(tab, phase2_cost, budget)
+    if status == UNBOUNDED:
+        return LpSolution(np.full(n, np.nan), -np.inf, UNBOUNDED)
+
+    tab.refactor()
+    x_full = tab.full_x()
+    x = x_full[:n]
+    x = np.clip(x, np.where(np.isfinite(p.lo), p.lo, -np.inf),
+                np.where(np.isfinite(p.hi), p.hi, np.inf))
+    if np.max(np.abs(p.A @ x - p.b), initial=0.0) > FEAS_TOL:
+        raise RuntimeError("simplex returned a primal-infeasible point")
+    B = A_ext[:, tab.basis]
+    duals = np.linalg.solve(B.T, phase2_cost[tab.basis])
+    reduced = p.c - p.A.T @ duals
+    return LpSolution(x, float(p.c @ x), OPTIMAL, duals=duals,
+                      reduced_costs=reduced, iterations=tab.pivots)
+
+
+def _bits(v):
+    """Bytes of an array or float field (NaN reads as its own bit pattern)."""
+    return None if v is None else (np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+
+
+def _assert_same_solution(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    for field in ("x", "value", "duals", "reduced_costs"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+
+
+def _random_mixed_lp(rng):
+    """Finite, half-infinite, free and fixed columns; b feasible or not."""
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(0, min(n, 5) + 1))
+    A = rng.normal(size=(m, n))
+    lo = rng.uniform(-2, 0, n)
+    hi = rng.uniform(0.1, 2, n)
+    kind = rng.integers(0, 5, n)     # 0 finite, 1 lower only, 2 upper only, 3 free, 4 fixed
+    lo[(kind == 2) | (kind == 3)] = -np.inf
+    hi[(kind == 1) | (kind == 3)] = np.inf
+    hi[kind == 4] = lo[kind == 4]
+    step = rng.uniform(0, 1, n)
+    inside = np.where(np.isfinite(lo), np.minimum(lo + step, hi),
+                      np.where(np.isfinite(hi), hi - step, step))
+    b = A @ inside if rng.random() < 0.7 else rng.normal(size=m) * 3
+    return LinearProgram(rng.normal(size=n), A, b, lo, hi)
+
+
+class TestAgainstReference:
+    def test_random_mixed_bounds(self):
+        rng = np.random.default_rng(2024)
+        statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        pivots = 0
+        for _ in range(1500):
+            p = _random_mixed_lp(rng)
+            want = _ref_solve_lp(p)
+            _assert_same_solution(solve_lp(p), want)
+            statuses[want.status] += 1
+            pivots = max(pivots, want.iterations)
+        assert min(statuses.values()) >= 100, statuses
+        assert pivots >= 5
+
+    def test_toy_robust_boxes(self):
+        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        rng = np.random.default_rng(4)
+        center = rng.normal(size=600)
+        half = rng.uniform(0, 1.5, 600)
+        for c, h in zip(center, half):
+            p = robustify_box(template, BoxSet([c - h], [c + h]))
+            _assert_same_solution(solve_lp(p), _ref_solve_lp(p))
+
+    def test_knapsack_lps(self):
+        scn = make_scenario(ExperimentConfig(scenario="knapsack", d=10, seed=0))
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            upper = rng.uniform(0.5, 4.0, scn.n_items)
+            box = BoxSet(upper - rng.uniform(0, 1, scn.n_items), upper)
+            p = build_knapsack_lp(scn, box)
+            want = _ref_solve_lp(p)
+            assert want.status == OPTIMAL and want.iterations > 20
+            _assert_same_solution(solve_lp(p), want)
+
+    def test_grid_flow_lps(self):
+        scn = make_scenario(ExperimentConfig(scenario="shortest-path", seed=0))
+        template = scn.decision_lp()
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            costs = scn.lp_costs(rng.uniform(0.5, 3.0, scn.n_edges))
+            p = LinearProgram(costs, template.A, template.b, template.lo, template.hi)
+            _assert_same_solution(solve_lp(p), _ref_solve_lp(p))
+
+    def test_bland_rule_from_the_first_step(self, monkeypatch):
+        # a zero Dantzig budget makes every pricing step take Bland's rule
+        lean, ref = lp._simplex_phase, _ref_simplex_phase
+        monkeypatch.setattr(lp, "_simplex_phase", lambda t, c, b: lean(t, c, 0))
+        monkeypatch.setitem(globals(), "_ref_simplex_phase", lambda t, c, b: ref(t, c, 0))
+        rng = np.random.default_rng(8)
+        pivots = 0
+        for _ in range(300):
+            p = _random_mixed_lp(rng)
+            want = _ref_solve_lp(p)
+            _assert_same_solution(solve_lp(p), want)
+            pivots += want.iterations
+        assert pivots > 300
+
+    def test_periodic_refactor(self, monkeypatch):
+        # 100 rows, 200 columns, x >= 0: the pivot count passes two refactors
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(100, 200))
+        b = A @ rng.uniform(0, 1, 200)
+        p = LinearProgram(rng.normal(size=200), A, b, np.zeros(200), np.full(200, np.inf))
+        tableaus = {lp._Tableau: [], _RefTableau: []}
+        for cls, seen in tableaus.items():
+            def refactor(tab, plain=cls.refactor, seen=seen):
+                plain(tab)
+                seen.append((_bits(tab.T), _bits(tab.xB)))
+            monkeypatch.setattr(cls, "refactor", refactor)
+        want = _ref_solve_lp(p)
+        assert want.iterations > 2 * _REFACTOR_EVERY
+        _assert_same_solution(solve_lp(p), want)
+        # the reference also refactors on entry and before reading x
+        assert len(tableaus[lp._Tableau]) == 2
+        assert tableaus[lp._Tableau] == tableaus[_RefTableau][1:-1]
