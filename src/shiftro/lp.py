@@ -270,7 +270,8 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     B = A_ext[:, tab.basis]
     x_full = tab.nonbasic_x()
     x_full[tab.basis] = np.linalg.solve(B, p.b - A_ext @ x_full)
-    # Snap solver noise back into the bounds.
+    # Snap solver noise back into the bounds (no lower bound is +inf and no
+    # upper bound -inf, so they clip as they stand).
     x = x_full[:n].clip(p.lo, p.hi)
     if np.abs(p.A @ x - p.b).max(initial=0.0) > FEAS_TOL:
         raise RuntimeError("simplex returned a primal-infeasible point")

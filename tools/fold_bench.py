@@ -12,8 +12,9 @@ i-th on the other; run the sides alternately, each first in every other pair.
 For every end-to-end metric the output gives both sides' runs, medians and
 quartiles, the pairs the change won (ties count for neither) and whether the
 gain rule holds: at least nine tenths of the pairs won, and a gap between the
-medians wider than the parent's interquartile range. Traced runs, if any, add
-each per-layer metric's median per side.
+medians wider than the parent's interquartile range; and whether the change's
+median is within the metric's regression bound of the parent's. Traced runs,
+if any, add each per-layer metric's median per side.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def summary(values) -> dict:
     return {"runs": values, "median": med, "q1": q1, "q3": q3}
 
 
-def compare(parent, change, better: str) -> dict:
-    """Pair the i-th runs of each side and apply the gain rule."""
+def compare(parent, change, better: str, bound: float) -> dict:
+    """Pair the i-th runs of each side; apply the gain rule and the bound."""
     n = min(len(parent), len(change))
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent[:n], change[:n]))
@@ -58,6 +59,8 @@ def compare(parent, change, better: str) -> dict:
         "median_change": cha["median"] / par["median"] - 1.0,
         "parent_iqr": iqr,
         "gain_shown": n > 0 and wins >= 0.9 * n and gap > iqr,
+        "bound": bound,
+        "within_bound": -gap <= bound * abs(par["median"]),
     }
 
 
@@ -70,6 +73,7 @@ def environment(rec) -> dict:
 def fold(label: str, parent_dir: Path, change_dir: Path) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     direction = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent, change = load_runs(parent_dir), load_runs(change_dir)
     out = {"label": label, "workloads": {}}
     for (workload, seed, trace), p_recs in sorted(parent.items()):
@@ -85,8 +89,9 @@ def fold(label: str, parent_dir: Path, change_dir: Path) -> dict:
         if trace == 0:
             entry["end_to_end"] = {
                 name: compare([r["metrics"][name] for r in p_recs],
-                              [r["metrics"][name] for r in c_recs], direction[name])
-                for name in (m["name"] for m in spec["end_to_end"])}
+                              [r["metrics"][name] for r in c_recs], direction[name],
+                              bounds[name])
+                for name in bounds}
             entry["failed_runs"] = {"parent": sum(not r["result"]["correct"] for r in p_recs),
                                     "change": sum(not r["result"]["correct"] for r in c_recs)}
         else:
@@ -104,20 +109,19 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json at the repo root")
     args = ap.parse_args(argv)
     result = fold(args.label, args.parent, args.change)
     if not result["workloads"]:
         print("fold_bench: no workload was run on both sides", file=sys.stderr)
         return 1
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     for key, entry in result["workloads"].items():
         for name, cmp in entry.get("end_to_end", {}).items():
             print(f"{key} {name}: parent {cmp['parent']['median']:.4g} "
                   f"change {cmp['change']['median']:.4g} "
                   f"({cmp['median_change']:+.1%}), wins {cmp['change_wins']}/{cmp['pairs']}, "
-                  f"gain shown {cmp['gain_shown']}")
+                  f"gain shown {cmp['gain_shown']}, within bound {cmp['within_bound']}")
     print(f"written to {out}")
     return 0
 
