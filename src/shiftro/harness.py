@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 
@@ -306,6 +305,7 @@ def run_pipeline(config: ExperimentConfig) -> Report:
     """All replicates, merged in replicate order (parallelism-invariant)."""
     reps = range(config.replicates)
     if config.workers > 1 and config.replicates > 1:
+        from concurrent.futures import ProcessPoolExecutor
         payloads = [(config.to_dict(), r) for r in reps]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_replicate_task, payloads))

@@ -3,6 +3,10 @@
 Everything downstream (solvers, predictors, calibration, scenario generators)
 builds on this module. All functions are pure; RngStream instances are the
 only stateful objects and each concurrent task should own its stream.
+
+scipy is imported by solve_spd on its first call, not here: the MLP pipeline
+never makes an SPD solve, and importing ``scipy.linalg`` costs more start-up
+time and memory than the rest of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
@@ -45,8 +48,10 @@ def solve_spd(mat, rhs):
     """Solve M @ x = rhs for symmetric positive definite M via Cholesky.
 
     Raises numpy.linalg.LinAlgError when M is not SPD (asymmetry or a
-    nonpositive Cholesky pivot).
+    nonpositive Cholesky pivot). The first call imports scipy.linalg.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     m = np.asarray(mat, dtype=float)
     r = np.asarray(rhs, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

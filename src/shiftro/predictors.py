@@ -176,7 +176,9 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
         G = _output_grad(kind, out, Y, alpha, work)
         dW2 = H.T @ G
         db2 = G.sum(axis=0)
-        dH = np.matmul(G, params["W2"].T, out=work.array("dH", H.shape))
+        # np.dot, not np.matmul: with one output column (k = 1) matmul runs
+        # numpy's own loop for this outer product, dot runs BLAS; same bits
+        dH = np.dot(G, params["W2"].T, out=work.array("dH", H.shape))
         slope = np.multiply(H, H, out=work.array("slope", H.shape))
         np.subtract(1.0, slope, out=slope)
         np.multiply(dH, slope, out=dH)
@@ -190,35 +192,52 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
 
 def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
     """Full-batch training, Adam at ADAM_STEP or subgradient descent from
-    SUBGRADIENT_STEP. Returns the best parameters seen, by loss."""
-    params = {k: v.copy() for k, v in params.items()}
+    SUBGRADIENT_STEP. Returns the best parameters seen, by loss.
+
+    The parameters, their gradients and the optimizer state each live in one
+    flat vector (the parameter dict holds views into it), so a step is a few
+    numpy calls on that vector rather than a few per parameter array.
+    """
+    keys = list(params)
+    flat = np.concatenate([params[k].ravel() for k in keys])
+    params = _views(flat, keys, params)
+    grad = np.empty_like(flat)
     if optimizer == "adam":
-        m = {k: np.zeros_like(v) for k, v in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
+        m = np.zeros_like(flat)
+        v = np.zeros_like(flat)
         b1, b2, eps = 0.9, 0.999, 1e-8
     best_loss = np.inf
-    best = {k: p.copy() for k, p in params.items()}
+    best = flat.copy()
     work = _Workspace()
     for t in range(1, epochs + 1):
         loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work)
         if loss < best_loss:
             best_loss = loss
-            best = {k: p.copy() for k, p in params.items()}
+            best[:] = flat
+        np.concatenate([grads[k].ravel() for k in keys], out=grad)
         if optimizer == "adam":
-            for k in params:
-                m[k] = b1 * m[k] + (1 - b1) * grads[k]
-                v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
-                mh = m[k] / (1 - b1 ** t)
-                vh = v[k] / (1 - b2 ** t)
-                params[k] -= ADAM_STEP * mh / (np.sqrt(vh) + eps)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad ** 2
+            mh = m / (1 - b1 ** t)
+            vh = v / (1 - b2 ** t)
+            flat -= ADAM_STEP * mh / (np.sqrt(vh) + eps)
         else:  # subgradient descent with step decay
             step = SUBGRADIENT_STEP / np.sqrt(1.0 + t / 50.0)
-            for k in params:
-                params[k] -= step * grads[k]
+            flat -= step * grad
     loss, _ = loss_and_grad(params, Z, Y, kind, alpha, work)
     if loss < best_loss:
-        best, best_loss = params, loss
-    return best, best_loss
+        best, best_loss = flat, loss
+    return _views(best, keys, params), best_loss
+
+
+def _views(flat, keys, shapes):
+    """Per-key views into ``flat``, shaped like the arrays of ``shapes``."""
+    views, at = {}, 0
+    for k in keys:
+        size = shapes[k].size
+        views[k] = flat[at:at + size].reshape(shapes[k].shape)
+        at += size
+    return views
 
 
 class Predictor:

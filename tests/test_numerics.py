@@ -1,5 +1,7 @@
 """Gaussian special functions, SPD solves, and random streams."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -94,6 +96,12 @@ class TestSolveSpd:
     def test_rejects_asymmetric(self):
         with pytest.raises(np.linalg.LinAlgError):
             solve_spd(np.array([[1.0, 0.9], [0.0, 1.0]]), [1.0, 1.0])
+
+    def test_missing_scipy_is_an_import_error(self, monkeypatch):
+        # scipy is imported on the first solve, outside the error mapping
+        monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+        with pytest.raises(ImportError):
+            solve_spd(np.eye(2), [1.0, 1.0])
 
 
 class TestRngStream:

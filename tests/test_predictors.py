@@ -5,10 +5,10 @@ import pytest
 
 from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio
 from shiftro.numerics import RngStream, normal_quantile
-from shiftro.predictors import (ADAM_STEP, HIDDEN, WIDTH_FLOOR, Dataset, MeanSpec,
-                                QuantileSpec, compute_residuals, fit_mean,
-                                fit_quantile, loss_and_grad, pinball, _mlp_init,
-                                _Workspace)
+from shiftro.predictors import (ADAM_STEP, HIDDEN, SUBGRADIENT_STEP, WIDTH_FLOOR,
+                                Dataset, MeanSpec, QuantileSpec, compute_residuals,
+                                fit_mean, fit_quantile, loss_and_grad, pinball,
+                                _mlp_init, _Workspace)
 
 
 class TestDataset:
@@ -240,8 +240,9 @@ def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
     return loss, grads
 
 
-def _reference_fit(params, Z, Y, kind, alpha, epochs, lr):
-    """Adam loop of _fit_gradient over the reference pass."""
+def _reference_fit(params, Z, Y, kind, alpha, epochs, lr, optimizer="adam"):
+    """Per-array Adam or subgradient loop of _fit_gradient over the reference
+    pass; ``lr`` is Adam's step or the subgradient descent's first step."""
     params = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -254,6 +255,9 @@ def _reference_fit(params, Z, Y, kind, alpha, epochs, lr):
             best_loss = loss
             best = {k: p.copy() for k, p in params.items()}
         for k in params:
+            if optimizer == "sgd":
+                params[k] -= lr / np.sqrt(1.0 + t / 50.0) * grads[k]
+                continue
             m[k] = b1 * m[k] + (1 - b1) * grads[k]
             v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
             params[k] -= lr * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
@@ -327,3 +331,27 @@ class TestWorkspace:
         assert params.keys() == want.keys()
         for key in want:
             _assert_same_bits(params[key], want[key])
+
+    def test_linear_quantile_fit_matches_reference_loop(self):
+        Z, Y = _problem(400, 4, 2, "pinball", seed=7)
+        # wide covariates make the subgradient steps overshoot, so the best
+        # parameters are those of epoch 71, not the last ones
+        Z = 5.0 * Z
+        spec = QuantileSpec(kind="linear", epochs=80)
+        got = fit_quantile(Z, Y, 0.8, spec).params
+        init = {"W": np.zeros((4, 2)), "b": np.quantile(Y, 0.8, axis=0)}
+        want = _reference_fit(init, Z, Y, "pinball", 0.8, spec.epochs,
+                              SUBGRADIENT_STEP, optimizer="sgd")
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(got[key], want[key])
+
+    def test_mlp_mean_fit_matches_reference_loop(self):
+        Z, C = _problem(300, 4, 3, "mse", seed=9)
+        spec = MeanSpec(kind="mlp", epochs=60, seed=3)
+        got = fit_mean(Dataset(Z, C), spec).params
+        init = _mlp_init(4, HIDDEN, 3, RngStream(spec.seed, 101))
+        want = _reference_fit(init, Z, C, "mse", 0.5, spec.epochs, ADAM_STEP)
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(got[key], want[key])
