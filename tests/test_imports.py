@@ -1,11 +1,14 @@
-"""What a fresh process loads: `import shiftro` and the MLP pipeline stay off
-scipy, and the first SPD solve brings it in."""
+"""What a fresh process loads: `import shiftro`, the MLP pipeline and every
+fit that makes an SPD solve stay off scipy; numpy is the only runtime
+dependency."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import shiftro
 
@@ -33,23 +36,23 @@ row = run_replicate(cfg, 0)
 print(json.dumps({"row": repr(row), "scipy": "scipy" in sys.modules}))
 """
 
-_RIDGE_MEAN = """
+_SPD_FITS = """
 import json, sys
 import numpy as np
+from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio, fit_kmm_label
 from shiftro.numerics import RngStream
 from shiftro.predictors import Dataset, MeanSpec, fit_mean
 g = RngStream(11).generator
 Z, C = g.normal(size=(200, 4)), g.normal(size=(200, 3))
-before = "scipy.linalg" in sys.modules
 W = fit_mean(Dataset(Z, C), MeanSpec(kind="ridge")).params["W"]
-after = "scipy.linalg" in sys.modules
+fit_classifier_ratio(Z, Z[:80] + 0.5, ClassifierSpec(kind="linear"))
+fit_kmm_label(Dataset(Z[:60], C[:60]), Z[60:120] + 0.5, n_iter=20)
+scipy_loaded = "scipy" in sys.modules
 from scipy.linalg import cho_factor, cho_solve
 Zc = Z - Z.mean(axis=0)
 G = Zc.T @ Zc + 1e-6 * np.eye(4)
-want = cho_solve(cho_factor(G, lower=True, check_finite=False),
-                 Zc.T @ (C - C.mean(axis=0)), check_finite=False)
-print(json.dumps({"before": before, "after": after,
-                  "same_bits": W.tobytes() == want.tobytes()}))
+want = cho_solve(cho_factor(G, lower=True), Zc.T @ (C - C.mean(axis=0)))
+print(json.dumps({"scipy": scipy_loaded, "W": W.tolist(), "want": want.tolist()}))
 """
 
 
@@ -72,6 +75,10 @@ class TestImportFootprint:
         assert out["row"].startswith("ReportRow(")
         assert out["scipy"] is False
 
-    def test_ridge_mean_loads_scipy_and_matches_cholesky(self):
-        out = _run(_RIDGE_MEAN)
-        assert out == {"before": False, "after": True, "same_bits": True}
+    def test_spd_fits_never_load_scipy(self):
+        # ridge mean, cls-linear Newton steps and label-shift KMM each solve
+        # an SPD system; LAPACK builds differ, so the ridge W matches scipy's
+        # Cholesky to rounding, not bit for bit
+        out = _run(_SPD_FITS)
+        assert out["scipy"] is False
+        np.testing.assert_allclose(out["W"], out["want"], rtol=1e-12)

@@ -97,11 +97,27 @@ class TestSolveSpd:
         with pytest.raises(np.linalg.LinAlgError):
             solve_spd(np.array([[1.0, 0.9], [0.0, 1.0]]), [1.0, 1.0])
 
-    def test_missing_scipy_is_an_import_error(self, monkeypatch):
-        # scipy is imported on the first solve, outside the error mapping
+    @pytest.mark.parametrize("mat,rhs", [
+        (np.eye(1), 3.0),                                  # 0-d rhs
+        (np.full((2, 2), np.nan), [1.0, 1.0]),             # NaN matrix
+        (np.eye(2), [np.nan, 1.0]),                        # NaN rhs
+        (np.diag([np.inf, 1.0]), [1.0, 1.0]),              # infinite pivot
+        (np.eye(2), np.ones((2, 1, 1))),                   # 3-d rhs
+    ], ids=["scalar-rhs", "nan-matrix", "nan-rhs", "inf-matrix", "3d-rhs"])
+    def test_rejects_bad_input(self, mat, rhs):
+        with pytest.raises(ValueError):
+            solve_spd(mat, rhs)
+
+    def test_solves_without_scipy(self, monkeypatch):
+        # an import of scipy.linalg anywhere in the solve raises ImportError
+        monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.linalg", None)
-        with pytest.raises(ImportError):
-            solve_spd(np.eye(2), [1.0, 1.0])
+        m = np.array([[4.0, 1.0], [1.0, 3.0]])
+        np.testing.assert_allclose(m @ solve_spd(m, [1.0, 2.0]), [1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), [1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_spd(np.array([[1.0, 0.9], [0.0, 1.0]]), [1.0, 1.0])
 
 
 class TestRngStream:

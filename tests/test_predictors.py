@@ -289,13 +289,23 @@ class TestWorkspace:
                                             ("logistic", 0.5)])
     @pytest.mark.parametrize("arch", ["mlp", "linear"])
     def test_bit_equal_to_allocating_pass(self, n, kind, alpha, arch):
-        k = 1 if kind == "logistic" else 3
-        Z, Y = _problem(n, 4, k, kind)
+        self._check_bit_equal(n, 4, 1 if kind == "logistic" else 3, kind, alpha, arch)
+
+    # the knapsack workload's shape: 10 covariates, 20 costs
+    @pytest.mark.parametrize("n", [50, 9000])
+    @pytest.mark.parametrize("kind,alpha", [("mse", 0.5), ("pinball", 0.8)])
+    @pytest.mark.parametrize("arch", ["mlp", "linear"])
+    def test_bit_equal_to_allocating_pass_knapsack_shape(self, n, kind, alpha, arch):
+        self._check_bit_equal(n, 10, 20, kind, alpha, arch)
+
+    @staticmethod
+    def _check_bit_equal(n, d, k, kind, alpha, arch):
+        Z, Y = _problem(n, d, k, kind)
         if arch == "mlp":
-            params = _mlp_init(4, 16, k, RngStream(1))
+            params = _mlp_init(d, 16, k, RngStream(1))
         else:
             g = RngStream(2).generator
-            params = {"W": g.normal(size=(4, k)), "b": g.normal(size=k)}
+            params = {"W": g.normal(size=(d, k)), "b": g.normal(size=k)}
         want_loss, want = _reference_loss_and_grad(params, Z, Y, kind, alpha)
         work = _Workspace()
         for _ in range(2):      # a fresh and a reused workspace
