@@ -1,8 +1,9 @@
 """Estimators of the test/train density ratio w(c, z) = q/p.
 
 Kinds: trivial (w == 1), probabilistic classifier on covariates (linear
-logistic via Newton, or MLP), kernel mean matching for covariate shift and
-for label shift, and exact closed-form oracles for the Gaussian toy worlds.
+logistic via Newton, or an MLP fit by L-BFGS), kernel mean matching for
+covariate shift and for label shift, and exact closed-form oracles for the
+Gaussian toy worlds.
 All emitted weights are truncated into the model's [w_lo, w_hi] bounds.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RngStream, solve_spd
-from .predictors import HIDDEN, Dataset, Predictor, _fit_gradient, _mlp_init
+from .predictors import HIDDEN, Dataset, Predictor, _fit_lbfgs, _mlp_init
 
 DEFAULT_CLIP = (0.05, 20.0)
 KMM_MAX_SAMPLES = 400
@@ -66,7 +67,7 @@ def trivial_ratio(w_lo: float = DEFAULT_CLIP[0], w_hi: float = DEFAULT_CLIP[1]) 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str = "mlp"            # "linear" | "mlp"
-    epochs: int = 500
+    iterations: int = 100        # L-BFGS steps of the MLP fit
     seed: int = 0
 
 
@@ -120,7 +121,7 @@ def fit_classifier_ratio(train_z, test_z, spec: ClassifierSpec = ClassifierSpec(
         bias = "b"
     elif spec.kind == "mlp":
         params = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(spec.seed, 303))
-        params, _ = _fit_gradient(params, X, y[:, None], "logistic", 0.5, spec.epochs)
+        params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, spec.iterations)
         bias = "b2"
     else:
         raise ValueError(f"unknown classifier kind {spec.kind!r}")

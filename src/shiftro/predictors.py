@@ -1,13 +1,16 @@
 """Mean predictors for E[c|z] and residual-magnitude quantile predictors.
 
 Two model families each: a convex baseline (ridge / linear quantile
-regression) and a one-hidden-layer MLP with 16 units. The MLP machinery is
-shared with the probabilistic classifier in density_ratio via _fit_gradient.
-Every fitted mean or width model is a Predictor over its parameter dict.
+regression) and a one-hidden-layer MLP with 16 units. The MLP forward and
+backward pass is shared with the probabilistic classifier in density_ratio.
+The mean and width MLPs train with full-batch Adam (_fit_gradient); the
+classifier's smooth logistic loss trains with L-BFGS (_fit_lbfgs). Every
+fitted mean or width model is a Predictor over its parameter dict.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +19,11 @@ from .numerics import RngStream, solve_spd
 
 WIDTH_FLOOR = 1e-6
 HIDDEN = 16             # MLP hidden units
-ADAM_STEP = 0.01        # Adam learning rate (MLP and logistic fits)
+ADAM_STEP = 0.01        # Adam learning rate (MLP mean and width fits)
 SUBGRADIENT_STEP = 0.05  # initial step of the linear pinball fit
+LBFGS_MEMORY = 10       # curvature pairs the L-BFGS fit keeps
+ARMIJO_C1 = 1e-4        # its line search's sufficient-decrease constant
+MAX_HALVINGS = 30       # step halvings before its line search gives up
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,80 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
     if loss < best_loss:
         best, best_loss = flat, loss
     return _views(best, keys, params), best_loss
+
+
+def _two_loop(grad, pairs):
+    """H g for the L-BFGS inverse-Hessian estimate H of the curvature pairs
+    (s, y, 1 / s'y), oldest first: the two-loop recursion, with H0 scaled
+    by s'y / y'y of the newest pair (Nocedal & Wright, Algorithm 7.4)."""
+    q = grad.copy()
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        coefs.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        q += (a - rho * (y @ q)) * s
+    return q
+
+
+def _fit_lbfgs(params, Z, Y, kind, alpha, iterations):
+    """Full-batch L-BFGS (Liu & Nocedal 1989) for a smooth loss.
+
+    The direction comes from the last LBFGS_MEMORY curvature pairs, and a
+    pair is kept only when s'y > 1e-10 |s| |y|. With no pair in memory it is
+    -g, tried first at step 1 / |g|_1; a direction that does not descend
+    falls back to that and clears the memory. Otherwise the line search
+    starts from a unit step. It halves the step until the loss falls by the
+    Armijo margin ARMIJO_C1 * step * g'd at a finite point. The fit stops
+    after ``iterations`` accepted steps, at a zero gradient, or when
+    MAX_HALVINGS halvings find no such point. Every accepted step lowers
+    the loss, so the fit ends at the best point it has seen; it returns that
+    point and its loss. Parameters and gradients are flat vectors, as in
+    _fit_gradient, and one loss_and_grad call prices each trial point.
+    """
+    keys = list(params)
+    flat = np.concatenate([params[k].ravel() for k in keys])
+    params = _views(flat, keys, params)
+    work = _Workspace()
+
+    def evaluate():
+        loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work)
+        return loss, np.concatenate([grads[k].ravel() for k in keys])
+
+    loss, grad = evaluate()
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    for _ in range(iterations):
+        if not np.any(grad):
+            break
+        direction = -_two_loop(grad, pairs)
+        slope = grad @ direction
+        if not slope < 0:
+            pairs.clear()
+            direction = -grad
+            slope = grad @ direction
+        step = 1.0 if pairs else 1.0 / np.abs(grad).sum()
+        start = flat.copy()
+        for _ in range(MAX_HALVINGS + 1):
+            np.add(start, step * direction, out=flat)
+            trial_loss, trial_grad = evaluate()
+            if (trial_loss < loss and trial_loss <= loss + ARMIJO_C1 * step * slope
+                    and np.isfinite(trial_loss) and np.all(np.isfinite(trial_grad))):
+                break
+            step *= 0.5
+        else:
+            flat[:] = start
+            break
+        s = flat - start
+        y = trial_grad - grad
+        sy = s @ y
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
+        loss, grad = trial_loss, trial_grad
+    return params, loss
 
 
 def _views(flat, keys, shapes):

@@ -65,7 +65,7 @@ class TestClassifierRatio:
         g = RngStream(9).generator
         tr = g.normal(0, 1, size=(1000, 2))
         te = g.normal(0.8, 1, size=(1000, 2))
-        m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="mlp", epochs=300))
+        m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="mlp", iterations=60))
         X = np.vstack([tr, te])
         y = np.concatenate([np.zeros(1000), np.ones(1000)])
         p = 1.0 / (1.0 + np.exp(-m.predictor.predict(X)[:, 0]))
@@ -314,7 +314,7 @@ def test_one_dim_covariate_vector_is_a_column(kind):
     elif kind == "kmm-cov":
         model = fit_kmm_covariate(tr, te, n_iter=50)
     else:
-        model = fit_classifier_ratio(tr, te, ClassifierSpec(kind=kind[4:], epochs=50))
+        model = fit_classifier_ratio(tr, te, ClassifierSpec(kind=kind[4:], iterations=10))
     z = model.fit_Z[:, 0] if kind == "kmm-cov" else np.linspace(-1.0, 1.0, 5)
     w = model.weights(None, z)
     assert w.shape == z.shape

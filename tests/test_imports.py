@@ -25,15 +25,20 @@ _MLP_REPLICATE = """
 import json, sys
 import shiftro.density_ratio as r, shiftro.predictors as p
 from shiftro.harness import ExperimentConfig, run_replicate
-fit = p._fit_gradient
+fit, lbfgs, short_lbfgs_calls = p._fit_gradient, p._fit_lbfgs, []
 def short_fit(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
     return fit(params, Z, Y, kind, alpha, 20, optimizer)
-p._fit_gradient = r._fit_gradient = short_fit
+def short_lbfgs(params, Z, Y, kind, alpha, iterations):
+    short_lbfgs_calls.append(kind)
+    return lbfgs(params, Z, Y, kind, alpha, 5)
+p._fit_gradient = short_fit
+r._fit_lbfgs = short_lbfgs
 cfg = ExperimentConfig(scenario="simple", ratio_kind="cls-mlp", mean_kind="mlp",
                        quantile_kind="mlp", n_f=120, n_h=80, n_cal=80,
                        m_ratio=100, n_eval=20, n_mc_var=5)
 row = run_replicate(cfg, 0)
-print(json.dumps({"row": repr(row), "scipy": "scipy" in sys.modules}))
+print(json.dumps({"row": repr(row), "scipy": "scipy" in sys.modules,
+                  "short_lbfgs": short_lbfgs_calls}))
 """
 
 _SPD_FITS = """
@@ -73,6 +78,7 @@ class TestImportFootprint:
     def test_mlp_replicate_never_loads_scipy(self):
         out = _run(_MLP_REPLICATE)
         assert out["row"].startswith("ReportRow(")
+        assert out["short_lbfgs"] == ["logistic"]
         assert out["scipy"] is False
 
     def test_spd_fits_never_load_scipy(self):

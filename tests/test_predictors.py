@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio
+from shiftro import predictors
+from shiftro.density_ratio import (NEWTON_STEPS, ClassifierSpec, _fit_logistic_newton,
+                                   fit_classifier_ratio)
+from shiftro.harness import TEST, TRAIN, ExperimentConfig, make_scenario
 from shiftro.numerics import RngStream, normal_quantile
-from shiftro.predictors import (ADAM_STEP, HIDDEN, SUBGRADIENT_STEP, WIDTH_FLOOR,
-                                Dataset, MeanSpec, QuantileSpec, compute_residuals,
-                                fit_mean, fit_quantile, loss_and_grad, pinball,
-                                _mlp_init, _Workspace)
+from shiftro.predictors import (ADAM_STEP, HIDDEN, MAX_HALVINGS, SUBGRADIENT_STEP,
+                                WIDTH_FLOOR, Dataset, MeanSpec, QuantileSpec,
+                                compute_residuals, fit_mean, fit_quantile, loss_and_grad,
+                                pinball, _fit_gradient, _fit_lbfgs, _mlp_init, _Workspace)
 
 
 class TestDataset:
@@ -326,22 +329,6 @@ class TestWorkspace:
         for key in kept:
             _assert_same_bits(first[key], kept[key])
 
-    def test_classifier_ratio_matches_reference_loop(self):
-        g = RngStream(6).generator
-        train_z = g.normal(size=(300, 4))
-        test_z = g.normal(size=(200, 4)) + 0.5
-        spec = ClassifierSpec(kind="mlp", epochs=60, seed=8)
-        model = fit_classifier_ratio(train_z, test_z, spec)
-        X = np.vstack([train_z, test_z])
-        y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
-        init = _mlp_init(4, HIDDEN, 1, RngStream(spec.seed, 303))
-        want = _reference_fit(init, X, y, "logistic", 0.5, spec.epochs, ADAM_STEP)
-        want["b2"] = want["b2"] - np.log(200 / 300)
-        params = model.predictor.params
-        assert params.keys() == want.keys()
-        for key in want:
-            _assert_same_bits(params[key], want[key])
-
     def test_linear_quantile_fit_matches_reference_loop(self):
         Z, Y = _problem(400, 4, 2, "pinball", seed=7)
         # wide covariates make the subgradient steps overshoot, so the best
@@ -365,3 +352,203 @@ class TestWorkspace:
         assert got.keys() == want.keys()
         for key in want:
             _assert_same_bits(got[key], want[key])
+
+
+# A plain L-BFGS loop over the reference pass: lists for the memory, a fresh
+# parameter dict per trial point, and the arithmetic _fit_lbfgs must match
+# bit for bit.
+
+def _reference_lbfgs(params, Z, Y, kind, alpha, iterations):
+    keys = list(params)
+    shapes = [params[k].shape for k in keys]
+    cuts = np.cumsum([params[k].size for k in keys])[:-1]
+
+    def unflat(x):
+        return {k: part.reshape(shape)
+                for k, part, shape in zip(keys, np.split(x, cuts), shapes)}
+
+    def f(x):
+        loss, grads = _reference_loss_and_grad(unflat(x), Z, Y, kind, alpha)
+        return loss, np.concatenate([grads[k].ravel() for k in keys])
+
+    x = np.concatenate([params[k].ravel() for k in keys])
+    loss, g = f(x)
+    S, D = [], []           # steps and gradient changes, oldest first
+    for _ in range(iterations):
+        if np.all(g == 0):
+            break
+        q = g.copy()
+        a = []
+        for s, y in zip(reversed(S), reversed(D)):
+            a.append((1.0 / (s @ y)) * (s @ q))
+            q = q - a[-1] * y
+        if S:
+            q = q * ((S[-1] @ D[-1]) / (D[-1] @ D[-1]))
+        for s, y, ai in zip(S, D, reversed(a)):
+            q = q + (ai - (1.0 / (s @ y)) * (y @ q)) * s
+        d = -q
+        if not g @ d < 0:
+            S, D = [], []
+            d = -g
+        slope = g @ d
+        step = 1.0 if S else 1.0 / np.sum(np.abs(g))
+        for _ in range(31):
+            x_new = x + step * d
+            loss_new, g_new = f(x_new)
+            if (np.isfinite(loss_new) and np.all(np.isfinite(g_new)) and loss_new < loss
+                    and loss_new <= loss + 1e-4 * step * slope):
+                break
+            step = step / 2
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            S.append(s)
+            D.append(y)
+            if len(S) > 10:
+                S, D = S[1:], D[1:]
+        x, loss, g = x_new, loss_new, g_new
+    return unflat(x), loss
+
+
+def _xor_problem():
+    """Labels by the sign of z0 * z1, from a tenth of the usual initial
+    weights: the fit leaves a saddle, meets curvature pairs with s'y <= 0
+    and backtracks."""
+    g = RngStream(0).generator
+    Z = g.normal(size=(300, 3))
+    Y = (Z[:, :1] * Z[:, 1:2] > 0).astype(float)
+    init = {k: 0.1 * v for k, v in _mlp_init(3, HIDDEN, 1, RngStream(0, 303)).items()}
+    return init, Z, Y
+
+
+class TestLbfgs:
+    def test_classifier_ratio_matches_reference_loop(self):
+        g = RngStream(6).generator
+        train_z = g.normal(size=(300, 4))
+        test_z = g.normal(size=(200, 4)) + 0.5
+        spec = ClassifierSpec(kind="mlp", iterations=60, seed=8)
+        model = fit_classifier_ratio(train_z, test_z, spec)
+        X = np.vstack([train_z, test_z])
+        y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
+        init = _mlp_init(4, HIDDEN, 1, RngStream(spec.seed, 303))
+        want, _ = _reference_lbfgs(init, X, y, "logistic", 0.5, spec.iterations)
+        want["b2"] = want["b2"] - np.log(200 / 300)
+        params = model.predictor.params
+        assert params.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(params[key], want[key])
+
+    def test_nonconvex_fit_matches_reference_loop(self):
+        init, Z, Y = _xor_problem()
+        got, got_loss = _fit_lbfgs(init, Z, Y, "logistic", 0.5, 60)
+        want, want_loss = _reference_lbfgs(init, Z, Y, "logistic", 0.5, 60)
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(got[key], want[key])
+
+    def test_linear_logistic_reaches_newton_loss(self):
+        g = RngStream(21).generator
+        X = np.vstack([g.normal(size=(1500, 4)), g.normal(size=(1000, 4)) + 0.4])
+        y = np.concatenate([np.zeros(1500), np.ones(1000)])
+        newton = _fit_logistic_newton(X, y, NEWTON_STEPS)
+        newton_loss, _ = loss_and_grad(newton, X, y[:, None], "logistic")
+        init = {"W": np.zeros((4, 1)), "b": np.zeros(1)}
+        params, loss = _fit_lbfgs(init, X, y[:, None], "logistic", 0.5, 100)
+        assert loss == loss_and_grad(params, X, y[:, None], "logistic")[0]
+        assert loss <= newton_loss * (1.0 + 1e-9)
+
+    def test_accepted_losses_never_increase(self):
+        # a cap of k iterations ends at the k-th accepted point
+        init, Z, Y = _xor_problem()
+        first, _ = loss_and_grad(init, Z, Y, "logistic")
+        losses = [first]
+        for k in range(1, 31):
+            params, loss = _fit_lbfgs(init, Z, Y, "logistic", 0.5, k)
+            assert loss == loss_and_grad(params, Z, Y, "logistic")[0]
+            losses.append(loss)
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_stationary_point_comes_back_unchanged(self, monkeypatch):
+        # zero weights and b2 = 0 on balanced labels: p = 1/2 everywhere and
+        # every gradient entry is exactly zero (256 rows keep G's sums exact)
+        Z = RngStream(3).generator.normal(size=(256, 4))
+        Y = np.repeat([[0.0], [1.0]], 128, axis=0)
+        init = {"W1": np.zeros((4, HIDDEN)), "b1": np.zeros(HIDDEN),
+                "W2": np.zeros((HIDDEN, 1)), "b2": np.zeros(1)}
+        calls = []
+        real = predictors.loss_and_grad
+        monkeypatch.setattr(predictors, "loss_and_grad",
+                            lambda *a: calls.append(1) or real(*a))
+        params, loss = _fit_lbfgs(init, Z, Y, "logistic", 0.5, 100)
+        assert len(calls) == 1
+        assert loss == pytest.approx(np.log(2.0), rel=1e-15)
+        for key in init:
+            _assert_same_bits(params[key], init[key])
+
+    def test_shallow_decrease_is_not_accepted(self, monkeypatch):
+        # f(x) = (x - c)^2 / 2 from x = 1: the first trial, x = 0, lowers f by
+        # 1e-5, less than the Armijo margin 1e-4 * (1 - c); one halving lands
+        # next to the minimum
+        c = 0.49999
+        monkeypatch.setattr(predictors, "loss_and_grad",
+                            lambda p, *a: (0.5 * (p["x"][0] - c) ** 2,
+                                           {"x": p["x"] - c}))
+        params, _ = _fit_lbfgs({"x": np.array([1.0])}, None, None, "logistic", 0.5, 1)
+        assert params["x"][0] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("fault", ["ascent", "nan-loss", "nan-grad"])
+    def test_failed_line_search_returns_the_start(self, fault, monkeypatch):
+        # "ascent": a gradient of the wrong sign, so no step lowers the loss;
+        # "nan-loss" and "nan-grad": every trial point prices as NaN in the
+        # loss or in the gradient
+        init, Z, Y = _xor_problem()
+        real = predictors.loss_and_grad
+        calls = []
+
+        def faulty(params, *args):
+            loss, grads = real(params, *args)
+            calls.append(loss)
+            if fault == "ascent":
+                return loss, {k: -g for k, g in grads.items()}
+            if len(calls) == 1:
+                return loss, grads
+            if fault == "nan-loss":
+                return np.nan, grads
+            return loss, {k: np.full_like(g, np.nan) for k, g in grads.items()}
+
+        monkeypatch.setattr(predictors, "loss_and_grad", faulty)
+        params, loss = _fit_lbfgs(init, Z, Y, "logistic", 0.5, 100)
+        assert len(calls) == 2 + MAX_HALVINGS
+        assert loss == calls[0]
+        for key in init:
+            _assert_same_bits(params[key], init[key])
+
+
+def _benchmark_classifier_data(scenario, d, seed):
+    """The pooled covariates and labels of replicate 0's classifier fit in
+    the harness: train_f, d1 and d2 covariates against m_ratio test ones."""
+    cfg = ExperimentConfig(scenario=scenario, d=d, ratio_kind="cls-mlp", seed=seed)
+    scn = make_scenario(cfg)
+    train = [scn.sample(n, RngStream(seed, tag), TRAIN).Z
+             for n, tag in ((cfg.n_f, 1), (cfg.n_h, 2), (cfg.n_cal, 3))]
+    test = scn.sample(cfg.m_ratio, RngStream(seed, 4), TEST).Z
+    return np.vstack(train), test
+
+
+@pytest.mark.parametrize("scenario,d,seed", [("simple", 4, 100), ("knapsack", 10, 0)])
+def test_classifier_fit_beats_adam(scenario, d, seed):
+    # the benchmark's two cls-mlp shapes, 8000 rows each: the L-BFGS fit
+    # ends below 500 Adam epochs from the same initial parameters
+    train_z, test_z = _benchmark_classifier_data(scenario, d, seed)
+    X = np.vstack([train_z, test_z])
+    assert X.shape == (8000, d)
+    y = np.concatenate([np.zeros(len(train_z)), np.ones(len(test_z))])[:, None]
+    model = fit_classifier_ratio(train_z, test_z, ClassifierSpec(kind="mlp", seed=seed))
+    params = dict(model.predictor.params)
+    params["b2"] = params["b2"] + np.log(len(test_z) / len(train_z))
+    loss, _ = loss_and_grad(params, X, y, "logistic")
+    init = _mlp_init(d, HIDDEN, 1, RngStream(seed, 303))
+    _, adam_loss = _fit_gradient(init, X, y, "logistic", 0.5, 500)
+    assert loss < adam_loss
