@@ -148,16 +148,13 @@ class DiscreteWorld:
         return self.q / self.p
 
     def q_hat(self, weights) -> np.ndarray:
-        """Estimated test pmf induced by a weight function: w*p normalized."""
+        """Estimated test pmf w*p normalized, from one weight per support point."""
         w = self._weight_values(weights)
         raw = w * self.p
         return raw / raw.sum()
 
     def _weight_values(self, weights) -> np.ndarray:
-        if callable(weights):
-            w = np.array([weights(c, z) for c, z in zip(self.C, self.Z)], dtype=float)
-        else:
-            w = np.atleast_1d(np.asarray(weights, dtype=float))
+        w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.shape != self.C.shape or np.any(w <= 0) or np.any(~np.isfinite(w)):
             raise ValueError("weights must be positive and finite on the support")
         return w

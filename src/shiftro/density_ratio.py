@@ -1,7 +1,7 @@
 """Estimators of the test/train density ratio w(c, z) = q/p.
 
 Kinds: trivial (w == 1), probabilistic classifier on covariates (linear
-logistic via Newton, or an MLP fit by L-BFGS), kernel mean matching for
+logistic or an MLP, both fit by L-BFGS), kernel mean matching for
 covariate shift and for label shift, and exact closed-form oracles for the
 Gaussian toy worlds.
 All emitted weights are truncated into the model's [w_lo, w_hi] bounds.
@@ -18,7 +18,6 @@ from .predictors import HIDDEN, Dataset, Predictor, _fit_lbfgs, _mlp_init
 
 DEFAULT_CLIP = (0.05, 20.0)
 KMM_MAX_SAMPLES = 400
-NEWTON_STEPS = 30
 
 
 class RatioModel:
@@ -67,7 +66,7 @@ def trivial_ratio(w_lo: float = DEFAULT_CLIP[0], w_hi: float = DEFAULT_CLIP[1]) 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str = "mlp"            # "linear" | "mlp"
-    iterations: int = 100        # L-BFGS steps of the MLP fit
+    iterations: int = 100        # L-BFGS steps of either fit
     seed: int = 0
 
 
@@ -86,24 +85,6 @@ class ClassifierRatio(RatioModel):
         return np.exp(np.clip(self.predictor.predict(Z)[:, 0], -700, 700))
 
 
-def _fit_logistic_newton(X, y, steps, ridge=1e-8):
-    """Newton / IRLS for logistic regression with intercept."""
-    n, d = X.shape
-    Xi = np.hstack([X, np.ones((n, 1))])
-    beta = np.zeros(d + 1)
-    for _ in range(steps):
-        eta = Xi @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
-        g = Xi.T @ (p - y) + ridge * beta
-        r = np.maximum(p * (1.0 - p), 1e-10)
-        H = (Xi * r[:, None]).T @ Xi + ridge * np.eye(d + 1)
-        step = solve_spd(H, g)
-        beta -= step
-        if np.max(np.abs(step)) < 1e-10:
-            break
-    return {"W": beta[:d][:, None], "b": beta[d:].copy()}
-
-
 def fit_classifier_ratio(train_z, test_z, spec: ClassifierSpec = ClassifierSpec(),
                          clip=DEFAULT_CLIP) -> ClassifierRatio:
     """Pool covariates with labels 0 (train) / 1 (test), fit a probability
@@ -117,14 +98,12 @@ def fit_classifier_ratio(train_z, test_z, spec: ClassifierSpec = ClassifierSpec(
     X = np.vstack([Ztr, Zte])
     y = np.concatenate([np.zeros(Ztr.shape[0]), np.ones(Zte.shape[0])])
     if spec.kind == "linear":
-        params = _fit_logistic_newton(X, y, NEWTON_STEPS)
-        bias = "b"
+        params, bias = {"W": np.zeros((X.shape[1], 1)), "b": np.zeros(1)}, "b"
     elif spec.kind == "mlp":
-        params = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(spec.seed, 303))
-        params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, spec.iterations)
-        bias = "b2"
+        params, bias = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(spec.seed, 303)), "b2"
     else:
         raise ValueError(f"unknown classifier kind {spec.kind!r}")
+    params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, spec.iterations)
     # Unequal pool sizes bias the intercept by log(n_te / n_tr); remove it.
     params[bias] = params[bias] - np.log(Zte.shape[0] / Ztr.shape[0])
     return ClassifierRatio(spec.kind, Predictor(params), *clip)

@@ -54,8 +54,8 @@ class ExperimentConfig:
     shift: float = 1.0
     shift_kind: str = "covariate"     # toy scenario only
     d: int | None = None              # None: scenario default (simple 4, grid/knapsack 10)
-    sigma1: float = 1.0
-    sigma2: float = 1.0
+    sigma1: float = 1.0               # toy scenario only
+    sigma2: float = 1.0               # toy scenario only
     n_f: int = 2000
     n_h: int = 1000
     n_cal: int = 1000
@@ -96,6 +96,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown shift kind {self.shift_kind!r}")
         if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
             raise ValueError("sigma1 and sigma2 must be positive and finite")
+        if self.scenario == "toy" and self.d is not None:
+            raise ValueError("the toy scenario is one-dimensional; d cannot be set")
+        if self.scenario != "toy" and (self.shift_kind, self.sigma1, self.sigma2) != (
+                "covariate", 1.0, 1.0):
+            raise ValueError("shift_kind, sigma1 and sigma2 apply to the toy scenario only")
         if self.mean_kind not in ("ridge", "mlp"):
             raise ValueError(f"unknown mean model kind {self.mean_kind!r}")
         if self.quantile_kind not in ("linear", "mlp"):

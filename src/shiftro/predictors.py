@@ -4,8 +4,9 @@ Two model families each: a convex baseline (ridge / linear quantile
 regression) and a one-hidden-layer MLP with 16 units. The MLP forward and
 backward pass is shared with the probabilistic classifier in density_ratio.
 The mean and width MLPs train with full-batch Adam (_fit_gradient); the
-classifier's smooth logistic loss trains with L-BFGS (_fit_lbfgs). Every
-fitted mean or width model is a Predictor over its parameter dict.
+smooth logistic loss of both classifiers, linear and MLP, trains with
+L-BFGS (_fit_lbfgs). Every fitted mean or width model is a Predictor over
+its parameter dict.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shiftro import density_ratio
 from shiftro.density_ratio import (ClassifierSpec, GaussianOracleRatio,
                                    fit_classifier_ratio, fit_kmm_covariate,
                                    fit_kmm_label, gaussian_gram, median_bandwidth,
@@ -90,6 +91,20 @@ class TestClassifierRatio:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_classifier_ratio(np.zeros((0, 1)), np.zeros((5, 1)))
+
+    def test_linear_fit_makes_no_spd_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solve_spd called")
+
+        monkeypatch.setattr(density_ratio, "solve_spd", no_solve)
+        g = RngStream(5).generator
+        m = fit_classifier_ratio(g.normal(size=(300, 3)), g.normal(size=(200, 3)) + 0.5,
+                                 ClassifierSpec(kind="linear"))
+        assert np.all(m.predictor.params["W"] > 0)
+        # the patch reaches the module's one remaining caller
+        data = Dataset(g.normal(size=(40, 2)), g.normal(size=(40, 1)))
+        with pytest.raises(AssertionError, match="solve_spd"):
+            fit_kmm_label(data, g.normal(size=(30, 2)), n_iter=5)
 
 
 class TestProjection:

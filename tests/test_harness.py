@@ -47,6 +47,13 @@ class TestConfig:
             ExperimentConfig(n_eval=0)
         with pytest.raises(ValueError):
             ExperimentConfig(d=0)
+        with pytest.raises(ValueError, match="toy"):
+            ExperimentConfig(scenario="toy", d=1)
+        for field, value in (("shift_kind", "label"), ("sigma1", 2.0), ("sigma2", 0.5)):
+            ExperimentConfig(scenario="toy", **{field: value})
+            for world in ("simple", "shortest-path", "knapsack"):
+                with pytest.raises(ValueError, match="toy"):
+                    ExperimentConfig(scenario=world, **{field: value})
 
     def test_scenario_dimension_defaults(self):
         from shiftro.harness import make_scenario
@@ -265,6 +272,25 @@ class TestCli:
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
 
+    @pytest.mark.parametrize("args,config", [
+        (("toy", "--d", "3"), None),
+        (("simple", "--shift-kind", "label"), None),
+        (("knapsack", "--shift-kind", "label"), None),
+        (("shortest-path", "--shift-kind", "label"), None),
+        (("simple",), {"sigma1": 2.0}),
+        (("knapsack",), {"sigma2": 0.5}),
+    ], ids=["toy-d", "simple-label", "knapsack-label", "grid-label", "simple-sigma1",
+            "knapsack-sigma2"])
+    def test_field_the_world_ignores_is_config_error(self, tmp_path, args, config):
+        # rejected while the config is read, before run_pipeline fits anything
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args += ("--config", str(path))
+        res = self._run(*args)
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr
+
     def test_config_file_without_scenario_takes_the_subcommand(self, tmp_path):
         # the oracle ratio is valid only once the subcommand has set the toy world
         cfg = tmp_path / "cfg.json"
@@ -295,12 +321,14 @@ class TestCli:
         assert defaults == ExperimentConfig(scenario="simple")
         cfg = tmp_path / "cfg.json"
         for flag, (field, text, want) in flags.items():
-            config = _config_from_args(parser.parse_args(["simple", flag, text]))
+            # a label shift exists only in the toy world
+            world = "toy" if flag == "--shift-kind" else "simple"
+            config = _config_from_args(parser.parse_args([world, flag, text]))
             assert getattr(config, field) == want != getattr(defaults, field), flag
             # a flag overrides the same field of a config file
             cfg.write_text(json.dumps({field: getattr(defaults, field)}))
             config = _config_from_args(parser.parse_args(
-                ["simple", "--config", str(cfg), flag, text]))
+                [world, "--config", str(cfg), flag, text]))
             assert getattr(config, field) == want, flag
 
     def test_negative_seed_flag_is_config_error(self):

@@ -82,9 +82,9 @@ class TestImportFootprint:
         assert out["scipy"] is False
 
     def test_spd_fits_never_load_scipy(self):
-        # ridge mean, cls-linear Newton steps and label-shift KMM each solve
-        # an SPD system; LAPACK builds differ, so the ridge W matches scipy's
-        # Cholesky to rounding, not bit for bit
+        # the ridge mean and label-shift KMM each solve an SPD system, and
+        # cls-linear fits by L-BFGS; LAPACK builds differ, so the ridge W
+        # matches scipy's Cholesky to rounding, not bit for bit
         out = _run(_SPD_FITS)
         assert out["scipy"] is False
         np.testing.assert_allclose(out["W"], out["want"], rtol=1e-12)
