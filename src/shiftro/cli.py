@@ -17,21 +17,32 @@ import numpy as np
 from .harness import ExperimentConfig, RATIO_KINDS, emit_report, run_pipeline
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a bad command line, which main reports as a
+    configuration error, instead of exiting 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftro",
         description="Shift-robust contextual LP experiments with calibrated "
                     "box uncertainty sets.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("toy", "simple", "shortest-path", "knapsack"):
-        # every dest but --config's is an ExperimentConfig field
+        # every dest but --config's is an ExperimentConfig field; the toy
+        # world alone is one-dimensional and alone has a label shift
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--alpha", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--shift", type=float)
-        p.add_argument("--shift-kind", choices=("covariate", "label"))
+        if name == "toy":
+            p.add_argument("--shift-kind", choices=("covariate", "label"))
+        else:
+            p.add_argument("--d", type=int)
         p.add_argument("--ratio", dest="ratio_kind", choices=RATIO_KINDS)
-        p.add_argument("--d", type=int)
         p.add_argument("--replicates", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--out", type=str)
@@ -126,23 +137,20 @@ def _selftest() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags; those are configuration errors here
-        return 0 if exc.code in (0, None) else 1
+        args = build_parser().parse_args(argv)
+        config = None if args.command == "selftest" else _config_from_args(args)
+    except SystemExit:    # --help, after printing the usage
+        return 0
+    except (ValueError, OSError, KeyError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "selftest":
         try:
             return _selftest()
         except Exception as exc:   # a crash in selftest is a runtime error
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    try:
-        config = _config_from_args(args)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     try:
         report = run_pipeline(config)
         paths = emit_report(report)

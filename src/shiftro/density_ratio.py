@@ -9,15 +9,16 @@ All emitted weights are truncated into the model's [w_lo, w_hi] bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import RngStream, solve_spd
 from .predictors import HIDDEN, Dataset, Predictor, _fit_lbfgs, _mlp_init
 
-DEFAULT_CLIP = (0.05, 20.0)
+CLASSIFIER_ITERATIONS = 100  # L-BFGS steps of either classifier fit
 KMM_MAX_SAMPLES = 400
+KMM_CAP = 1000.0        # upper bound on each KMM weight
+KMM_RIDGE = 1e-3        # kmm-label's ridge on the cost Gram matrix, per sample
+KMM_ITERATIONS = 800    # projected-gradient steps of either KMM fit
 
 
 class RatioModel:
@@ -25,7 +26,7 @@ class RatioModel:
 
     kind = "base"
 
-    def __init__(self, w_lo: float = DEFAULT_CLIP[0], w_hi: float = DEFAULT_CLIP[1]):
+    def __init__(self, w_lo: float, w_hi: float):
         if not (0.0 < w_lo <= w_hi):
             raise ValueError(f"clip bounds must satisfy 0 < lo <= hi, got ({w_lo}, {w_hi})")
         self.w_lo = float(w_lo)
@@ -55,20 +56,13 @@ class TrivialRatio(RatioModel):
         return np.ones(Z.shape[0])
 
 
-def trivial_ratio(w_lo: float = DEFAULT_CLIP[0], w_hi: float = DEFAULT_CLIP[1]) -> TrivialRatio:
+def trivial_ratio(w_lo: float, w_hi: float) -> TrivialRatio:
     return TrivialRatio(w_lo, w_hi)
 
 
 # ---------------------------------------------------------------------------
 # probabilistic classifier (covariate shift)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassifierSpec:
-    kind: str = "mlp"            # "linear" | "mlp"
-    iterations: int = 100        # L-BFGS steps of either fit
-    seed: int = 0
-
 
 class ClassifierRatio(RatioModel):
     """w(z) = p1(z) / (1 - p1(z)) from a train-vs-test probability classifier
@@ -85,10 +79,10 @@ class ClassifierRatio(RatioModel):
         return np.exp(np.clip(self.predictor.predict(Z)[:, 0], -700, 700))
 
 
-def fit_classifier_ratio(train_z, test_z, spec: ClassifierSpec = ClassifierSpec(),
-                         clip=DEFAULT_CLIP) -> ClassifierRatio:
+def fit_classifier_ratio(train_z, test_z, kind: str, seed: int, clip) -> ClassifierRatio:
     """Pool covariates with labels 0 (train) / 1 (test), fit a probability
-    classifier, and emit w = p/(1-p)."""
+    classifier ("linear" logistic, or the "mlp" with initial weights drawn
+    from ``seed``), and emit w = p/(1-p) clipped into ``clip`` = (lo, hi)."""
     Ztr = np.atleast_2d(np.asarray(train_z, dtype=float))
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if Ztr.shape[0] == 0 or Zte.shape[0] == 0:
@@ -97,16 +91,16 @@ def fit_classifier_ratio(train_z, test_z, spec: ClassifierSpec = ClassifierSpec(
         raise ValueError("train and test covariates must share a dimension")
     X = np.vstack([Ztr, Zte])
     y = np.concatenate([np.zeros(Ztr.shape[0]), np.ones(Zte.shape[0])])
-    if spec.kind == "linear":
+    if kind == "linear":
         params, bias = {"W": np.zeros((X.shape[1], 1)), "b": np.zeros(1)}, "b"
-    elif spec.kind == "mlp":
-        params, bias = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(spec.seed, 303)), "b2"
+    elif kind == "mlp":
+        params, bias = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(seed, 303)), "b2"
     else:
-        raise ValueError(f"unknown classifier kind {spec.kind!r}")
-    params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, spec.iterations)
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, CLASSIFIER_ITERATIONS)
     # Unequal pool sizes bias the intercept by log(n_te / n_tr); remove it.
     params[bias] = params[bias] - np.log(Zte.shape[0] / Ztr.shape[0])
-    return ClassifierRatio(spec.kind, Predictor(params), *clip)
+    return ClassifierRatio(kind, Predictor(params), *clip)
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +157,19 @@ def project_box_meanband(v, cap: float, mean_lo: float, mean_hi: float) -> np.nd
     return np.clip(v + mu, 0.0, cap)
 
 
-def _projected_gradient(quad, lin, cap, mean_slack, n_iter):
-    """Minimize (1/2) w'Q w - lin'w over the capped mean band, from w == 1.
-
-    Step size 1/L with L the largest eigenvalue of Q; with the exact
-    projection this is monotone in the objective. Returns (w, objectives).
-    """
-    n = lin.size
-    eigmax = float(np.linalg.eigvalsh(quad)[-1])
-    step = 1.0 / max(eigmax, 1e-12)
-    w = np.ones(n)
-    w = project_box_meanband(w, cap, 1.0 - mean_slack, 1.0 + mean_slack)
-    objs = []
-    for _ in range(n_iter):
-        g = quad @ w - lin
-        objs.append(0.5 * w @ (quad @ w) - lin @ w)
-        w = project_box_meanband(w - step * g, cap, 1.0 - mean_slack, 1.0 + mean_slack)
-    objs.append(0.5 * w @ (quad @ w) - lin @ w)
-    return w, np.array(objs)
-
-
 class KmmRatio(RatioModel):
-    """Per-sample KMM weights; defined only at the samples they were fit on."""
+    """Per-sample KMM weights; defined only at the samples they were fit on,
+    rows ``fit_indices`` of the sample passed to the fit."""
 
-    def __init__(self, kind, fit_Z, fit_C, sample_weights, w_lo, w_hi, objectives):
+    def __init__(self, kind, fit_Z, fit_C, sample_weights, w_lo, w_hi, objectives,
+                 fit_indices):
         super().__init__(w_lo, w_hi)
         self.kind = kind
         self.fit_Z = fit_Z
         self.fit_C = fit_C
         self._weights = sample_weights
         self.objectives = objectives
+        self.fit_indices = fit_indices
 
     @property
     def sample_weights(self) -> np.ndarray:
@@ -210,73 +187,79 @@ class KmmRatio(RatioModel):
         return self._weights
 
 
-def _subsample(X, max_n, rng: RngStream | None, tag: int):
+def _subsample(X, rng: RngStream):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] <= max_n:
+    if X.shape[0] <= KMM_MAX_SAMPLES:
         return X, np.arange(X.shape[0])
-    r = rng if rng is not None else RngStream(0, tag)
-    idx = np.sort(r.generator.choice(X.shape[0], size=max_n, replace=False))
+    idx = np.sort(rng.generator.choice(X.shape[0], size=KMM_MAX_SAMPLES, replace=False))
     return X[idx], idx
 
 
-def fit_kmm_covariate(train_z, test_z, cap: float = 1000.0, mean_slack=None,
-                      clip=DEFAULT_CLIP, rng: RngStream | None = None,
-                      n_iter: int = 800) -> KmmRatio:
+def _kmm_ratio(kind, quad, lin, fit_Z, fit_C, fit_indices, clip) -> KmmRatio:
+    """Minimize (1/2) w'Q w - lin'w, Q = quad + 1e-12 I, over 0 <= w <= KMM_CAP
+    and |mean(w) - 1| <= (sqrt(n) - 1) / sqrt(n), the mean band of Huang et
+    al. (2007), by KMM_ITERATIONS projected-gradient steps from w == 1.
+
+    Step size 1/L with L the largest eigenvalue of Q; with the exact
+    projection this is monotone in the objective, and the model keeps the
+    objective before each step and after the last.
+    """
+    n = lin.size
+    quad = quad + 1e-12 * np.eye(n)
+    slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
+    lo, hi = 1.0 - slack, 1.0 + slack
+    step = 1.0 / max(float(np.linalg.eigvalsh(quad)[-1]), 1e-12)
+    w = project_box_meanband(np.ones(n), KMM_CAP, lo, hi)
+    objs = []
+    for _ in range(KMM_ITERATIONS):
+        g = quad @ w - lin
+        objs.append(0.5 * w @ (quad @ w) - lin @ w)
+        w = project_box_meanband(w - step * g, KMM_CAP, lo, hi)
+    objs.append(0.5 * w @ (quad @ w) - lin @ w)
+    return KmmRatio(kind, fit_Z, fit_C, w, *clip, np.array(objs), fit_indices)
+
+
+def fit_kmm_covariate(train_z, test_z, clip, rng: RngStream) -> KmmRatio:
     """Match kernel mean embeddings of the weighted train covariates to the
-    test covariates: minimize (1/N^2) w'Kw - (2/(NM)) w'K_te 1 subject to
-    0 <= w <= cap and |mean(w) - 1| <= mean_slack, with a Gaussian kernel of
-    median bandwidth."""
+    test covariates: minimize (1/N^2) w'Kw - (2/(NM)) w'K_te 1 over the
+    capped mean band of _kmm_ratio, with a Gaussian kernel of median
+    bandwidth. Each side is first cut to KMM_MAX_SAMPLES rows drawn from
+    ``rng``."""
     Ztr = np.atleast_2d(np.asarray(train_z, dtype=float))
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if Ztr.shape[0] < 2 or Zte.shape[0] < 2:
         raise ValueError("KMM requires at least two samples on each side")
-    Ztr, idx = _subsample(Ztr, KMM_MAX_SAMPLES, rng, 11)
-    Zte, _ = _subsample(Zte, KMM_MAX_SAMPLES, rng, 12)
+    Ztr, idx = _subsample(Ztr, rng)
+    Zte, _ = _subsample(Zte, rng)
     n, m = Ztr.shape[0], Zte.shape[0]
-    if mean_slack is None:
-        mean_slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
     bz = median_bandwidth(Ztr)
-    quad = 2.0 * gaussian_gram(Ztr, Ztr, bz) / (n * n) + 1e-12 * np.eye(n)
+    quad = 2.0 * gaussian_gram(Ztr, Ztr, bz) / (n * n)
     lin = 2.0 * gaussian_gram(Ztr, Zte, bz).sum(axis=1) / (n * m)
-    w, objs = _projected_gradient(quad, lin, cap, mean_slack, n_iter)
-    model = KmmRatio("kmm-cov", Ztr, None, w, *clip, objectives=objs)
-    model.fit_indices = idx
-    return model
+    return _kmm_ratio("kmm-cov", quad, lin, Ztr, None, idx, clip)
 
 
-def fit_kmm_label(train: Dataset, test_z, lam=None, cap: float = 1000.0,
-                  mean_slack=None, clip=DEFAULT_CLIP, rng: RngStream | None = None,
-                  n_iter: int = 800) -> KmmRatio:
+def fit_kmm_label(train: Dataset, test_z, clip, rng: RngStream) -> KmmRatio:
     """Label-shift KMM through the empirical conditional embedding.
 
     With K, K_te Gaussian Gram matrices over covariates and H over costs
-    (median bandwidths), B = (H + lam I)^{-1} H and lam = 1e-3 N by default,
-    the embedding-matching loss expands to
-    (1/N^2) w'B'KBw - (2/(NM)) w'B'K_te 1 + const; minimized by projected
-    gradient over the same capped mean band as the covariate variant.
+    (median bandwidths), B = (H + lam I)^{-1} H and lam = KMM_RIDGE * N, the
+    embedding-matching loss expands to
+    (1/N^2) w'B'KBw - (2/(NM)) w'B'K_te 1 + const; minimized over the same
+    capped mean band as the covariate variant, after the same subsampling.
     """
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if train.n < 2 or Zte.shape[0] < 2:
         raise ValueError("KMM requires at least two samples on each side")
-    Ztr, idx = _subsample(train.Z, KMM_MAX_SAMPLES, rng, 21)
+    Ztr, idx = _subsample(train.Z, rng)
     Ctr = train.C[idx]
-    Zte, _ = _subsample(Zte, KMM_MAX_SAMPLES, rng, 22)
+    Zte, _ = _subsample(Zte, rng)
     n, m = Ztr.shape[0], Zte.shape[0]
-    lam = 1e-3 * n if lam is None else lam
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     bz = median_bandwidth(Ztr)
     H = gaussian_gram(Ctr, Ctr, median_bandwidth(Ctr))
-    B = solve_spd(H + lam * np.eye(n), H)
+    B = solve_spd(H + KMM_RIDGE * n * np.eye(n), H)
     quad = 2.0 * (B.T @ gaussian_gram(Ztr, Ztr, bz) @ B) / (n * n)
-    quad = 0.5 * (quad + quad.T) + 1e-12 * np.eye(n)
     lin = 2.0 * (B.T @ gaussian_gram(Ztr, Zte, bz).sum(axis=1)) / (n * m)
-    if mean_slack is None:
-        mean_slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
-    w, objs = _projected_gradient(quad, lin, cap, mean_slack, n_iter)
-    model = KmmRatio("kmm-label", Ztr, Ctr, w, *clip, objectives=objs)
-    model.fit_indices = idx
-    return model
+    return _kmm_ratio("kmm-label", 0.5 * (quad + quad.T), lin, Ztr, Ctr, idx, clip)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +275,7 @@ class GaussianOracleRatio(RatioModel):
 
     kind = "oracle"
 
-    def __init__(self, scenario, w_lo=DEFAULT_CLIP[0], w_hi=DEFAULT_CLIP[1]):
+    def __init__(self, scenario, w_lo: float, w_hi: float):
         super().__init__(w_lo, w_hi)
         if scenario.sigma1 <= 0 or scenario.sigma2 <= 0:
             raise ValueError("scenario sigmas must be positive")

@@ -21,12 +21,11 @@ import numpy as np
 
 from .conformal import (box_hits, calib_scores, empirical_coverage, select_eta,
                         uncertainty_box)
-from .density_ratio import (ClassifierSpec, GaussianOracleRatio, fit_classifier_ratio,
-                            fit_kmm_covariate, fit_kmm_label, trivial_ratio)
+from .density_ratio import (GaussianOracleRatio, fit_classifier_ratio, fit_kmm_covariate,
+                            fit_kmm_label, trivial_ratio)
 from .lp import OPTIMAL, BoxSet, LinearProgram, solve_lp, solve_robust_box
 from .numerics import RngStream
-from .predictors import (Dataset, MeanSpec, QuantileSpec, compute_residuals,
-                         fit_mean, fit_quantile)
+from .predictors import Dataset, compute_residuals, fit_mean, fit_quantile
 from . import analytic
 from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScenario,
                         ToyScenario, build_knapsack_lp, trace_path)
@@ -80,14 +79,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown ratio kind {self.ratio_kind!r}")
         if not (0.5 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        sizes = ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var",
-                 "replicates", "workers") + (() if self.d is None else ("d",))
-        for name in sizes:
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        counts = ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var", "replicates",
+                  "workers", "seed") + (() if self.d is None else ("d",))
+        for name in counts:
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            # bool is an Integral, but JSON's true is not a count
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (0 <= self.shift < math.inf):
             raise ValueError(f"shift must be finite and nonnegative, got {self.shift!r}")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
@@ -194,13 +192,13 @@ def _fit_ratio(config, scenario, train_z, d2: Dataset, test_z, seed):
     if kind == "trivial":
         return trivial_ratio(*clip), None
     if kind in ("cls-linear", "cls-mlp"):
-        spec = ClassifierSpec(kind=kind.removeprefix("cls-"), seed=seed)
-        return fit_classifier_ratio(train_z, test_z, spec, clip), None
+        return fit_classifier_ratio(train_z, test_z, kind.removeprefix("cls-"), seed,
+                                    clip), None
     if kind == "kmm-cov":
-        model = fit_kmm_covariate(d2.Z, test_z, clip=clip, rng=RngStream(seed, 31))
+        model = fit_kmm_covariate(d2.Z, test_z, clip, RngStream(seed, 31))
         return model, model.fit_indices
     if kind == "kmm-label":
-        model = fit_kmm_label(d2, test_z, clip=clip, rng=RngStream(seed, 32))
+        model = fit_kmm_label(d2, test_z, clip, RngStream(seed, 32))
         return model, model.fit_indices
     if kind == "oracle":
         return GaussianOracleRatio(scenario, *clip), None
@@ -247,11 +245,10 @@ def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
     test_cov = _stage("sample-test-covariates", scenario.sample, config.m_ratio,
                       RngStream(seed, 4), TEST)
 
-    mean_model = _stage("fit-mean", fit_mean, train_f,
-                        MeanSpec(kind=config.mean_kind, seed=seed))
+    mean_model = _stage("fit-mean", fit_mean, train_f, config.mean_kind, seed)
     resid = _stage("residuals", compute_residuals, d1, mean_model)
     quant_model = _stage("fit-quantile", fit_quantile, d1.Z, np.abs(resid), alpha,
-                         QuantileSpec(kind=config.quantile_kind, seed=seed))
+                         config.quantile_kind, seed)
 
     train_z = np.vstack([train_f.Z, d1.Z, d2.Z])
     ratio_model, cal_idx = _stage("fit-ratio", _fit_ratio, config, scenario,
@@ -351,7 +348,7 @@ def emit_report(report: Report, fmt: str | None = None, out: str | None = None):
         _write_text(bar_path, coverage_bars_svg(report))
         paths.append(bar_path)
         if report.config.scenario == "toy":
-            curve_path = bar_path.replace(".svg", "_curves.svg")
+            curve_path = bar_path.removesuffix(".svg") + "_curves.svg"
             _write_text(curve_path, conservatism_curves_svg(
                 report.config.alpha, report.config.shift_kind,
                 sigma1=report.config.sigma1, sigma2=report.config.sigma2,

@@ -22,23 +22,16 @@ _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
-def normal_cdf(x):
-    """Standard normal CDF. Accepts a scalar or an array; error < 1e-15."""
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise ValueError("normal_cdf requires finite input")
-        return 0.5 * (1.0 + math.erf(xf / _SQRT2))
-    xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
+def normal_cdf(x) -> float:
+    """Standard normal CDF of a scalar; error < 1e-15."""
+    xf = float(x)
+    if not math.isfinite(xf):
         raise ValueError("normal_cdf requires finite input")
-    return 0.5 * (1.0 + np.vectorize(math.erf)(xs / _SQRT2))
+    return 0.5 * (1.0 + math.erf(xf / _SQRT2))
 
 
-def normal_quantile(p):
-    """Inverse standard normal CDF on (0, 1). Accepts a scalar or an array."""
-    if np.ndim(p) != 0:
-        return np.array([normal_quantile(v) for v in np.asarray(p, dtype=float)])
+def normal_quantile(p) -> float:
+    """Inverse standard normal CDF of a scalar on (0, 1)."""
     pf = float(p)
     if not (0.0 < pf < 1.0):
         raise ValueError(f"normal_quantile requires p in (0, 1), got {pf}")

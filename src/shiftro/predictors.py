@@ -22,6 +22,9 @@ WIDTH_FLOOR = 1e-6
 HIDDEN = 16             # MLP hidden units
 ADAM_STEP = 0.01        # Adam learning rate (MLP mean and width fits)
 SUBGRADIENT_STEP = 0.05  # initial step of the linear pinball fit
+RIDGE_LAMBDA = 1e-6     # Gram-diagonal shift of the ridge mean fit
+MEAN_EPOCHS = 500       # Adam epochs of the MLP mean fit
+WIDTH_EPOCHS = 2000     # epochs of either width fit
 LBFGS_MEMORY = 10       # curvature pairs the L-BFGS fit keeps
 ARMIJO_C1 = 1e-4        # its line search's sufficient-decrease constant
 MAX_HALVINGS = 30       # step halvings before its line search gives up
@@ -348,32 +351,25 @@ class Predictor:
 # mean models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanSpec:
-    kind: str = "ridge"          # "ridge" | "mlp"
-    ridge_lambda: float = 1e-6
-    epochs: int = 500
-    seed: int = 0
-
-
-def fit_mean(train: Dataset, spec: MeanSpec = MeanSpec()):
-    """Fit the conditional-mean predictor on (Z, C)."""
+def fit_mean(train: Dataset, kind: str, seed: int):
+    """Fit the conditional-mean predictor on (Z, C): ridge ("ridge") or the
+    MLP ("mlp", initial weights drawn from ``seed``)."""
     if train.n == 0 or train.n_cost == 0:
         raise ValueError("training data must be nonempty with a cost block")
     Z, C = train.Z, train.C
-    if spec.kind == "ridge":
+    if kind == "ridge":
         zm = Z.mean(axis=0)
         cm = C.mean(axis=0)
         Zc = Z - zm
-        G = Zc.T @ Zc + spec.ridge_lambda * np.eye(train.d)
+        G = Zc.T @ Zc + RIDGE_LAMBDA * np.eye(train.d)
         W = solve_spd(G, Zc.T @ (C - cm))
         return Predictor({"W": W, "b": cm - zm @ W})
-    if spec.kind == "mlp":
-        rng = RngStream(spec.seed, 101)
+    if kind == "mlp":
+        rng = RngStream(seed, 101)
         params = _mlp_init(train.d, HIDDEN, train.n_cost, rng)
-        params, _ = _fit_gradient(params, Z, C, "mse", 0.5, spec.epochs)
+        params, _ = _fit_gradient(params, Z, C, "mse", 0.5, MEAN_EPOCHS)
         return Predictor(params)
-    raise ValueError(f"unknown mean model kind {spec.kind!r}")
+    raise ValueError(f"unknown mean model kind {kind!r}")
 
 
 def compute_residuals(data: Dataset, mean_model) -> np.ndarray:
@@ -387,19 +383,15 @@ def compute_residuals(data: Dataset, mean_model) -> np.ndarray:
 # quantile models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantileSpec:
-    kind: str = "linear"         # "linear" | "mlp"
-    epochs: int = 2000
-    seed: int = 0
-
-
-def fit_quantile(Z, abs_residuals, alpha: float, spec: QuantileSpec = QuantileSpec()):
+def fit_quantile(Z, abs_residuals, alpha: float, kind: str, seed: int):
     """Fit h(z) to the alpha-quantile of |r| per output coordinate.
 
-    Minimizes sum_k rho_alpha(|r|_k - h(z)_k) by (sub)gradient descent with
-    step decay; the output bias starts at the empirical quantile, so the fit
-    never ends worse than the best constant predictor.
+    Minimizes sum_k rho_alpha(|r|_k - h(z)_k) over WIDTH_EPOCHS full-batch
+    epochs: subgradient descent with step decay for the linear width
+    ("linear"), Adam at ADAM_STEP for the MLP ("mlp", initial weights drawn
+    from ``seed``). The output bias starts at the empirical quantile, and
+    the fit keeps the best parameters it sees, so it never ends worse than
+    the best constant predictor.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -413,15 +405,15 @@ def fit_quantile(Z, abs_residuals, alpha: float, spec: QuantileSpec = QuantileSp
         raise ValueError("row mismatch between Z and residuals")
     d, k = Z.shape[1], Y.shape[1]
     q0 = np.quantile(Y, alpha, axis=0)
-    if spec.kind == "linear":
+    if kind == "linear":
         params = {"W": np.zeros((d, k)), "b": q0.copy()}
-        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha, spec.epochs,
+        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha, WIDTH_EPOCHS,
                                   optimizer="sgd")
-    elif spec.kind == "mlp":
-        rng = RngStream(spec.seed, 202)
+    elif kind == "mlp":
+        rng = RngStream(seed, 202)
         params = _mlp_init(d, HIDDEN, k, rng)
         params["b2"] = q0.copy()
-        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha, spec.epochs)
+        params, _ = _fit_gradient(params, Z, Y, "pinball", alpha, WIDTH_EPOCHS)
     else:
-        raise ValueError(f"unknown quantile model kind {spec.kind!r}")
+        raise ValueError(f"unknown quantile model kind {kind!r}")
     return Predictor(params, WIDTH_FLOOR)

@@ -300,7 +300,7 @@ class TestCriterion8KmmRecovery:
         g = RngStream(42).generator
         tr = (g.random(400) < 0.5).astype(float)[:, None]
         te = (g.random(400) < 0.8).astype(float)[:, None]
-        m = fit_kmm_covariate(tr, te, rng=RngStream(1))
+        m = fit_kmm_covariate(tr, te, (0.05, 20.0), rng=RngStream(1))
         truth = np.where(tr[:, 0] == 0, 0.4, 1.6)
         cov_mae = float(np.abs(m.sample_weights - truth).mean())
         assert cov_mae <= 0.15
@@ -310,7 +310,7 @@ class TestCriterion8KmmRecovery:
         Z = (np.array([0.0, 2.0])[lab_tr] + g.normal(0, 0.5, 400))[:, None]
         lab_te = (g.random(400) < 0.75).astype(int)
         Zte = (np.array([0.0, 2.0])[lab_te] + g.normal(0, 0.5, 400))[:, None]
-        ml = fit_kmm_label(Dataset(Z, C), Zte, rng=RngStream(2))
+        ml = fit_kmm_label(Dataset(Z, C), Zte, (0.05, 20.0), rng=RngStream(2))
         truth_l = np.where(lab_tr == 0, 0.5, 1.5)
         lab_mae = float(np.abs(ml.sample_weights - truth_l).mean())
         assert lab_mae <= 0.2

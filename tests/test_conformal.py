@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from shiftro import predictors
 from shiftro.conformal import (CalibScores, CalibrationResult, calib_scores,
                                empirical_coverage, select_eta, uncertainty_box)
 from shiftro.density_ratio import GaussianOracleRatio, trivial_ratio
+from shiftro.harness import ExperimentConfig
 from shiftro.lp import BoxSet
 from shiftro.numerics import RngStream
-from shiftro.predictors import Dataset, MeanSpec, QuantileSpec, fit_mean, fit_quantile
+from shiftro.predictors import Dataset, fit_mean, fit_quantile
 from shiftro.scenarios import TEST, TRAIN, ToyScenario
+
+CLIP = (ExperimentConfig.clip_lo, ExperimentConfig.clip_hi)   # default clip
 
 
 class _ConstMean:
@@ -39,12 +43,12 @@ def brute_force_eta(scores, weights, alpha):
 class TestCalibScores:
     def test_zero_residual_zero_score(self):
         d2 = Dataset(np.zeros((3, 1)), np.full((3, 1), 5.0))
-        s = calib_scores(d2, _ConstMean(5.0), _ConstWidth(1.0), trivial_ratio())
+        s = calib_scores(d2, _ConstMean(5.0), _ConstWidth(1.0), trivial_ratio(*CLIP))
         np.testing.assert_array_equal(s.scores, 0.0)
 
     def test_simple_ratio(self):
         d2 = Dataset(np.zeros((1, 1)), np.array([[3.0]]))
-        s = calib_scores(d2, _ConstMean(0.0), _ConstWidth(1.5), trivial_ratio())
+        s = calib_scores(d2, _ConstMean(0.0), _ConstWidth(1.5), trivial_ratio(*CLIP))
         assert s.scores[0] == pytest.approx(2.0)
 
     def test_score_is_minimal_covering_scale_bisection_oracle(self):
@@ -52,7 +56,7 @@ class TestCalibScores:
         d2 = Dataset(g.normal(size=(40, 2)), g.normal(size=(40, 3)))
         f = _ConstMean([0.1, -0.2, 0.3], dim=2)
         h = _ConstWidth([0.5, 1.0, 2.0], dim=2)
-        s = calib_scores(d2, f, h, trivial_ratio())
+        s = calib_scores(d2, f, h, trivial_ratio(*CLIP))
         for i in range(d2.n):
             lo_e, hi_e = 0.0, 100.0
             center = f.predict(d2.Z[i:i + 1])[0]
@@ -69,7 +73,7 @@ class TestCalibScores:
     def test_dim_mismatch(self):
         d2 = Dataset(np.zeros((3, 1)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            calib_scores(d2, _ConstMean(0.0), _ConstWidth(1.0), trivial_ratio())
+            calib_scores(d2, _ConstMean(0.0), _ConstWidth(1.0), trivial_ratio(*CLIP))
 
 
 class TestSelectEta:
@@ -148,17 +152,18 @@ class TestUncertaintyBox:
             c = g.normal(scale=2.0, size=2)
             box = uncertainty_box(z, f, h, calib)
             score = calib_scores(Dataset(z[None, :], c[None, :]), f, h,
-                                 trivial_ratio()).scores[0]
+                                 trivial_ratio(*CLIP)).scores[0]
             assert box.contains(c) == (score <= eta)
 
 
-    def test_block_rows_match_single_boxes(self):
+    def test_block_rows_match_single_boxes(self, monkeypatch):
         g = RngStream(10).generator
         Z = g.normal(size=(300, 3))
         C = np.sin(Z[:, :2]) + 0.1 * g.normal(size=(300, 2))
-        f = fit_mean(Dataset(Z, C), MeanSpec(kind="mlp", epochs=50, seed=1))
-        h = fit_quantile(Z, np.abs(C - f.predict(Z)), 0.8,
-                         QuantileSpec(kind="mlp", epochs=50, seed=2))
+        monkeypatch.setattr(predictors, "MEAN_EPOCHS", 50)
+        monkeypatch.setattr(predictors, "WIDTH_EPOCHS", 50)
+        f = fit_mean(Dataset(Z, C), "mlp", 1)
+        h = fit_quantile(Z, np.abs(C - f.predict(Z)), 0.8, "mlp", 2)
         calib = CalibrationResult(1.3, 0.8)
         block = uncertainty_box(Z[:40], f, h, calib)
         assert block.lower.shape == block.upper.shape == (40, 2)
@@ -225,9 +230,9 @@ class TestCoverageGuarantees:
         for rep in range(reps):
             d2 = scn.sample(n_cal, RngStream(100 + rep, 1), TRAIN)
             ev = scn.sample(n_eval, RngStream(100 + rep, 2), TRAIN)
-            scores = calib_scores(d2, f, h, trivial_ratio())
+            scores = calib_scores(d2, f, h, trivial_ratio(*CLIP))
             eta = select_eta(scores, alpha).eta
-            ev_scores = calib_scores(ev, f, h, trivial_ratio()).scores
+            ev_scores = calib_scores(ev, f, h, trivial_ratio(*CLIP)).scores
             covs.append(float((ev_scores <= eta).mean()))
         mean_cov = float(np.mean(covs))
         # quantile-selection noise (1/n_cal) plus evaluation noise, averaged
@@ -251,7 +256,7 @@ class TestCoverageGuarantees:
             ev = scn.sample(n_eval, RngStream(300 + rep, 2), TEST)
             scores = calib_scores(d2, f, h, ratio)
             eta = select_eta(scores, alpha).eta
-            ev_scores = calib_scores(ev, f, h, trivial_ratio()).scores
+            ev_scores = calib_scores(ev, f, h, trivial_ratio(*CLIP)).scores
             covs.append(float((ev_scores <= eta).mean()))
             spreads.append(scores.weights.max() / scores.weights.min())
         mean_cov = float(np.mean(covs))

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from shiftro import density_ratio
-from shiftro.density_ratio import (ClassifierSpec, GaussianOracleRatio,
-                                   fit_classifier_ratio, fit_kmm_covariate,
-                                   fit_kmm_label, gaussian_gram, median_bandwidth,
-                                   project_box_meanband, trivial_ratio)
+from shiftro.density_ratio import (GaussianOracleRatio, fit_classifier_ratio,
+                                   fit_kmm_covariate, fit_kmm_label, gaussian_gram,
+                                   median_bandwidth, project_box_meanband, trivial_ratio)
+from shiftro.harness import ExperimentConfig
 from shiftro.numerics import RngStream, solve_spd
 from shiftro.predictors import Dataset
 from shiftro.scenarios import ToyScenario
 
+CLIP = (ExperimentConfig.clip_lo, ExperimentConfig.clip_hi)   # default clip
+
 
 class TestTrivial:
     def test_always_one(self):
-        m = trivial_ratio()
+        m = trivial_ratio(*CLIP)
         g = RngStream(0).generator
         np.testing.assert_array_equal(m.weights(None, g.normal(size=(10, 3))), 1.0)
 
@@ -24,7 +26,7 @@ class TestTrivial:
         np.testing.assert_array_equal(m.weights(None, np.zeros((4, 1))), 1.0)
 
     def test_normalized_weights_uniform(self):
-        w = trivial_ratio().weights(None, np.zeros((8, 2)))
+        w = trivial_ratio(*CLIP).weights(None, np.zeros((8, 2)))
         np.testing.assert_allclose(w / w.sum(), 1 / 8)
 
 
@@ -42,14 +44,14 @@ class TestClassifierRatio:
         g = RngStream(42).generator
         a = g.normal(size=(2000, 4))
         b = g.normal(size=(2000, 4))
-        m = fit_classifier_ratio(a, b, ClassifierSpec(kind="linear"))
+        m = fit_classifier_ratio(a, b, "linear", 0, CLIP)
         assert np.abs(m.weights(None, a) - 1.0).mean() <= 0.15
 
     def test_gaussian_shift_slope_and_intercept(self):
         g = RngStream(42).generator
         tr = g.normal(0, 1, size=(2000, 1))
         te = g.normal(1, 1, size=(2000, 1))
-        m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="linear"))
+        m = fit_classifier_ratio(tr, te, "linear", 0, CLIP)
         assert m.predictor.params["W"][0, 0] == pytest.approx(1.0, abs=0.15)
         assert m.predictor.params["b"][0] == pytest.approx(-0.5, abs=0.15)
 
@@ -57,16 +59,16 @@ class TestClassifierRatio:
         g = RngStream(1).generator
         tr = g.normal(0, 1, size=(500, 1))
         te = g.normal(3, 1, size=(500, 1))
-        m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="linear"),
-                                 clip=(0.5, 2.0))
+        m = fit_classifier_ratio(tr, te, "linear", 0, (0.5, 2.0))
         w = m.weights(None, np.linspace(-5, 5, 50)[:, None])
         assert np.all((w >= 0.5) & (w <= 2.0))
 
-    def test_beats_constant_classifier_logloss(self):
+    def test_beats_constant_classifier_logloss(self, monkeypatch):
         g = RngStream(9).generator
         tr = g.normal(0, 1, size=(1000, 2))
         te = g.normal(0.8, 1, size=(1000, 2))
-        m = fit_classifier_ratio(tr, te, ClassifierSpec(kind="mlp", iterations=60))
+        monkeypatch.setattr(density_ratio, "CLASSIFIER_ITERATIONS", 60)
+        m = fit_classifier_ratio(tr, te, "mlp", 0, CLIP)
         X = np.vstack([tr, te])
         y = np.concatenate([np.zeros(1000), np.ones(1000)])
         p = 1.0 / (1.0 + np.exp(-m.predictor.predict(X)[:, 0]))
@@ -78,10 +80,8 @@ class TestClassifierRatio:
         g = RngStream(77).generator
         tr = g.normal(0, 1, size=(3000, 1))
         te = g.normal(1, 1, size=(3000, 1))
-        fwd = fit_classifier_ratio(tr, te, ClassifierSpec(kind="linear"),
-                                   clip=(1e-4, 1e4))
-        rev = fit_classifier_ratio(te, tr, ClassifierSpec(kind="linear"),
-                                   clip=(1e-4, 1e4))
+        fwd = fit_classifier_ratio(tr, te, "linear", 0, (1e-4, 1e4))
+        rev = fit_classifier_ratio(te, tr, "linear", 0, (1e-4, 1e4))
         zs = np.linspace(-1.5, 2.5, 30)[:, None]
         wf = fwd.weights(None, zs)
         wr = rev.weights(None, zs)
@@ -90,21 +90,22 @@ class TestClassifierRatio:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_classifier_ratio(np.zeros((0, 1)), np.zeros((5, 1)))
+            fit_classifier_ratio(np.zeros((0, 1)), np.zeros((5, 1)), "mlp", 0, CLIP)
 
     def test_linear_fit_makes_no_spd_solve(self, monkeypatch):
         def no_solve(*args):
             raise AssertionError("solve_spd called")
 
         monkeypatch.setattr(density_ratio, "solve_spd", no_solve)
+        monkeypatch.setattr(density_ratio, "KMM_ITERATIONS", 5)
         g = RngStream(5).generator
         m = fit_classifier_ratio(g.normal(size=(300, 3)), g.normal(size=(200, 3)) + 0.5,
-                                 ClassifierSpec(kind="linear"))
+                                 "linear", 0, CLIP)
         assert np.all(m.predictor.params["W"] > 0)
         # the patch reaches the module's one remaining caller
         data = Dataset(g.normal(size=(40, 2)), g.normal(size=(40, 1)))
         with pytest.raises(AssertionError, match="solve_spd"):
-            fit_kmm_label(data, g.normal(size=(30, 2)), n_iter=5)
+            fit_kmm_label(data, g.normal(size=(30, 2)), CLIP, RngStream(0))
 
 
 class TestProjection:
@@ -127,22 +128,23 @@ class TestProjection:
 class TestKmmCovariate:
     def test_identical_point_sets_give_unit_weights(self):
         z = np.array([[0.0], [1.0]] * 200)
-        m = fit_kmm_covariate(z, z.copy(), rng=RngStream(2))
+        m = fit_kmm_covariate(z, z.copy(), CLIP, rng=RngStream(2))
         np.testing.assert_allclose(m.sample_weights, 1.0, atol=0.05)
 
     def test_discrete_two_point_recovery(self):
         g = RngStream(42).generator
         tr = (g.random(400) < 0.5).astype(float)[:, None]
         te = (g.random(400) < 0.8).astype(float)[:, None]
-        m = fit_kmm_covariate(tr, te, rng=RngStream(1))
+        m = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(1))
         truth = np.where(tr[:, 0] == 0, 0.2 / 0.5, 0.8 / 0.5)
         assert np.abs(m.sample_weights - truth).mean() <= 0.15
 
-    def test_constraints_and_objective(self):
+    def test_constraints_and_objective(self, monkeypatch):
         g = RngStream(3).generator
         tr = g.normal(0, 1, size=(300, 2))
         te = g.normal(0.5, 1, size=(300, 2))
-        m = fit_kmm_covariate(tr, te, cap=50.0, mean_slack=0.1, rng=RngStream(4))
+        monkeypatch.setattr(density_ratio, "KMM_CAP", 50.0)
+        m = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(4))
         w = m._weights
         assert np.all(w >= -1e-12) and np.all(w <= 50 + 1e-12)
         assert abs(w.mean() - 1.0) <= 0.1 + 1e-9
@@ -150,25 +152,27 @@ class TestKmmCovariate:
         assert m.objectives[-1] <= m.objectives[0] + 1e-12
         assert np.all(np.diff(m.objectives) <= 1e-10)
 
-    def test_longer_run_changes_little(self):
+    def test_longer_run_changes_little(self, monkeypatch):
         g = RngStream(5).generator
         tr = g.normal(0, 1, size=(200, 1))
         te = g.normal(0.7, 1, size=(200, 1))
-        short = fit_kmm_covariate(tr, te, rng=RngStream(6), n_iter=800)
-        long = fit_kmm_covariate(tr, te, rng=RngStream(6), n_iter=8000)
+        monkeypatch.setattr(density_ratio, "KMM_ITERATIONS", 800)
+        short = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(6))
+        monkeypatch.setattr(density_ratio, "KMM_ITERATIONS", 8000)
+        long = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(6))
         assert short.objectives[-1] - long.objectives[-1] <= 1e-4
 
     def test_bandwidth_errors(self):
         with pytest.raises(ValueError):
             gaussian_gram(np.zeros((10, 1)), np.zeros((10, 1)), 0.0)
         with pytest.raises(ValueError):
-            fit_kmm_covariate(np.zeros((1, 1)), np.zeros((10, 1)))
+            fit_kmm_covariate(np.zeros((1, 1)), np.zeros((10, 1)), CLIP, RngStream(0))
 
     def test_weights_defined_only_at_fit_samples(self):
         g = RngStream(7).generator
         tr = g.normal(size=(50, 1))
         te = g.normal(size=(50, 1))
-        m = fit_kmm_covariate(tr, te, rng=RngStream(8))
+        m = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(8))
         np.testing.assert_array_equal(m.weights(None, tr), m.sample_weights)
         with pytest.raises(ValueError):
             m.weights(None, tr + 1.0)
@@ -186,43 +190,27 @@ class TestKmmLabel:
 
     def test_no_shift_near_one(self):
         train, zte, _ = self._label_world(11, q1=0.5)
-        m = fit_kmm_label(train, zte, rng=RngStream(12))
+        m = fit_kmm_label(train, zte, CLIP, rng=RngStream(12))
         assert np.abs(m.sample_weights - 1.0).mean() <= 0.2
 
     def test_discrete_label_shift_recovery(self):
         train, zte, lab = self._label_world(42, q1=0.75)
-        m = fit_kmm_label(train, zte, rng=RngStream(13))
+        m = fit_kmm_label(train, zte, CLIP, rng=RngStream(13))
         truth = np.where(lab == 0, 0.5, 1.5)
         assert np.abs(m.sample_weights - truth).mean() <= 0.2
 
-    def test_large_lambda_tight_constraints_force_ones(self):
-        train, zte, _ = self._label_world(5)
-        m = fit_kmm_label(train, zte, lam=1e6, cap=1.0, mean_slack=0.0,
-                          rng=RngStream(14))
-        np.testing.assert_array_equal(m.sample_weights, 1.0)
-
     def test_loss_monotone(self):
         train, zte, _ = self._label_world(6)
-        m = fit_kmm_label(train, zte, rng=RngStream(15))
+        m = fit_kmm_label(train, zte, CLIP, rng=RngStream(15))
         assert np.all(np.diff(m.objectives) <= 1e-10)
 
     def test_one_dim_costs_at_fit_samples(self):
         train, zte, _ = self._label_world(8, n=60)
-        m = fit_kmm_label(train, zte, rng=RngStream(16))
+        m = fit_kmm_label(train, zte, CLIP, rng=RngStream(16))
         np.testing.assert_array_equal(m.weights(train.C[:, 0], train.Z),
                                       m.weights(train.C, train.Z))
         with pytest.raises(ValueError):
             m.weights(train.C[:, 0] + 1.0, train.Z)
-
-    def test_lambda_domain(self):
-        train, zte, _ = self._label_world(7)
-        with pytest.raises(ValueError):
-            fit_kmm_label(train, zte, lam=0.0)
-        # the default is 1e-3 per fitted sample
-        train, zte, _ = self._label_world(9, n=60)
-        np.testing.assert_array_equal(
-            fit_kmm_label(train, zte, rng=RngStream(17)).sample_weights,
-            fit_kmm_label(train, zte, lam=0.06, rng=RngStream(17)).sample_weights)
 
 
 class TestKernelTrickExpansion:
@@ -309,27 +297,24 @@ class TestKernels:
         assert gaussian_gram(Z, Z, bz).shape == (20, 20)
         assert gaussian_gram(C, C, median_bandwidth(C)).shape == (20, 20)
         assert gaussian_gram(Z, Zte, bz).shape == (20, 15)
-        # lam defaults to 1e-3 per fitted sample: 0.02 here
-        train = Dataset(Z, C)
-        np.testing.assert_array_equal(
-            fit_kmm_label(train, Zte, rng=RngStream(6)).sample_weights,
-            fit_kmm_label(train, Zte, lam=0.02, rng=RngStream(6)).sample_weights)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "oracle", "cls-linear", "cls-mlp", "kmm-cov"])
-def test_one_dim_covariate_vector_is_a_column(kind):
+def test_one_dim_covariate_vector_is_a_column(kind, monkeypatch):
     # a d=1 world's covariates as a flat vector: one weight per entry
     g = RngStream(40)
     tr = g.gaussian(0.0, 1.0, size=(300, 1))
     te = g.gaussian(0.5, 1.0, size=(300, 1))
+    monkeypatch.setattr(density_ratio, "KMM_ITERATIONS", 50)
+    monkeypatch.setattr(density_ratio, "CLASSIFIER_ITERATIONS", 10)
     if kind == "trivial":
-        model = trivial_ratio()
+        model = trivial_ratio(*CLIP)
     elif kind == "oracle":
-        model = GaussianOracleRatio(ToyScenario(1.0, 1.0, 0.5, "covariate"))
+        model = GaussianOracleRatio(ToyScenario(1.0, 1.0, 0.5, "covariate"), *CLIP)
     elif kind == "kmm-cov":
-        model = fit_kmm_covariate(tr, te, n_iter=50)
+        model = fit_kmm_covariate(tr, te, CLIP, RngStream(0))
     else:
-        model = fit_classifier_ratio(tr, te, ClassifierSpec(kind=kind[4:], iterations=10))
+        model = fit_classifier_ratio(tr, te, kind[4:], 0, CLIP)
     z = model.fit_Z[:, 0] if kind == "kmm-cov" else np.linspace(-1.0, 1.0, 5)
     w = model.weights(None, z)
     assert w.shape == z.shape

@@ -47,6 +47,8 @@ class TestConfig:
             ExperimentConfig(n_eval=0)
         with pytest.raises(ValueError):
             ExperimentConfig(d=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(d=True)
         with pytest.raises(ValueError, match="toy"):
             ExperimentConfig(scenario="toy", d=1)
         for field, value in (("shift_kind", "label"), ("sigma1", 2.0), ("sigma2", 0.5)):
@@ -215,6 +217,14 @@ class TestEmitReport:
         bars = out.read_text()
         assert "<rect" in bars and "crimson" in bars
 
+    def test_svg_curves_beside_bars_in_a_dir_named_svg(self, tmp_path):
+        # only the file name's trailing suffix changes, not the directory's
+        runs = tmp_path / "runs.svg"
+        runs.mkdir()
+        paths = emit_report(self._tiny_report(), "svg", str(runs / "toy.svg"))
+        assert paths == [str(runs / "toy.svg"), str(runs / "toy_curves.svg")]
+        assert all(Path(p).read_text().startswith("<svg") for p in paths)
+
     def test_bad_path_raises_io_error(self):
         with pytest.raises(IOError):
             emit_report(self._tiny_report(), "csv", "/nonexistent-dir/x.csv")
@@ -264,6 +274,10 @@ class TestCli:
         pytest.param({"shift": float("inf")}, id="shift=Infinity"),
         pytest.param({"n_eval": 2.5}, id="n_eval=2.5"),
         pytest.param({"sigma1": float("inf")}, id="sigma1=Infinity"),
+        # bool is an Integral in Python, but JSON's true is not a count
+        pytest.param({"replicates": True}, id="replicates=true"),
+        pytest.param({"n_eval": True}, id="n_eval=true"),
+        pytest.param({"seed": False}, id="seed=false"),
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"
@@ -301,6 +315,8 @@ class TestCli:
         assert out.read_text().splitlines()[1].split(",")[1:3] == ["toy", "oracle"]
 
     def test_every_flag_lands_in_its_field(self, tmp_path):
+        # every world's flags; the toy world alone has --shift-kind, and the
+        # d-dimensional worlds alone have --d
         flags = {
             "--alpha": ("alpha", "0.9", 0.9), "--seed": ("seed", "3", 3),
             "--shift": ("shift", "0.25", 0.25),
@@ -313,23 +329,25 @@ class TestCli:
             "--n-eval": ("n_eval", "7", 7),
         }
         parser = build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)).choices["simple"]
-        options = {opt for action in sub._actions for opt in action.option_strings}
-        assert options - {"-h", "--help", "--config"} == set(flags)
-        defaults = _config_from_args(parser.parse_args(["simple"]))
-        assert defaults == ExperimentConfig(scenario="simple")
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
         cfg = tmp_path / "cfg.json"
-        for flag, (field, text, want) in flags.items():
-            # a label shift exists only in the toy world
-            world = "toy" if flag == "--shift-kind" else "simple"
-            config = _config_from_args(parser.parse_args([world, flag, text]))
-            assert getattr(config, field) == want != getattr(defaults, field), flag
-            # a flag overrides the same field of a config file
-            cfg.write_text(json.dumps({field: getattr(defaults, field)}))
-            config = _config_from_args(parser.parse_args(
-                [world, "--config", str(cfg), flag, text]))
-            assert getattr(config, field) == want, flag
+        for world in ("toy", "simple", "shortest-path", "knapsack"):
+            own = set(flags) - {"--d" if world == "toy" else "--shift-kind"}
+            options = {opt for action in subs[world]._actions
+                       for opt in action.option_strings}
+            assert options - {"-h", "--help", "--config"} == own, world
+            defaults = _config_from_args(parser.parse_args([world]))
+            assert defaults == ExperimentConfig(scenario=world)
+            for flag in sorted(own):
+                field, text, want = flags[flag]
+                config = _config_from_args(parser.parse_args([world, flag, text]))
+                assert getattr(config, field) == want != getattr(defaults, field), flag
+                # a flag overrides the same field of a config file
+                cfg.write_text(json.dumps({field: getattr(defaults, field)}))
+                config = _config_from_args(parser.parse_args(
+                    [world, "--config", str(cfg), flag, text]))
+                assert getattr(config, field) == want, flag
 
     def test_negative_seed_flag_is_config_error(self):
         res = self._run("toy", "--seed", "-1")

@@ -44,14 +44,16 @@ print(json.dumps({"row": repr(row), "scipy": "scipy" in sys.modules,
 _SPD_FITS = """
 import json, sys
 import numpy as np
-from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio, fit_kmm_label
+from shiftro import density_ratio
+from shiftro.density_ratio import fit_classifier_ratio, fit_kmm_label
 from shiftro.numerics import RngStream
-from shiftro.predictors import Dataset, MeanSpec, fit_mean
+from shiftro.predictors import Dataset, fit_mean
+density_ratio.KMM_ITERATIONS = 20
 g = RngStream(11).generator
 Z, C = g.normal(size=(200, 4)), g.normal(size=(200, 3))
-W = fit_mean(Dataset(Z, C), MeanSpec(kind="ridge")).params["W"]
-fit_classifier_ratio(Z, Z[:80] + 0.5, ClassifierSpec(kind="linear"))
-fit_kmm_label(Dataset(Z[:60], C[:60]), Z[60:120] + 0.5, n_iter=20)
+W = fit_mean(Dataset(Z, C), "ridge", 0).params["W"]
+fit_classifier_ratio(Z, Z[:80] + 0.5, "linear", 0, (0.05, 20.0))
+fit_kmm_label(Dataset(Z[:60], C[:60]), Z[60:120] + 0.5, (0.05, 20.0), RngStream(0))
 scipy_loaded = "scipy" in sys.modules
 from scipy.linalg import cho_factor, cho_solve
 Zc = Z - Z.mean(axis=0)

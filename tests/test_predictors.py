@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from shiftro import predictors
-from shiftro.density_ratio import ClassifierSpec, fit_classifier_ratio
+from shiftro import density_ratio, predictors
+from shiftro.density_ratio import fit_classifier_ratio
 from shiftro.harness import TEST, TRAIN, ExperimentConfig, make_scenario
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.predictors import (ADAM_STEP, HIDDEN, MAX_HALVINGS, SUBGRADIENT_STEP,
-                                WIDTH_FLOOR, Dataset, MeanSpec, QuantileSpec,
-                                compute_residuals, fit_mean, fit_quantile, loss_and_grad,
-                                pinball, _fit_gradient, _fit_lbfgs, _mlp_init, _Workspace)
+                                WIDTH_FLOOR, Dataset, compute_residuals, fit_mean,
+                                fit_quantile, loss_and_grad, pinball, _fit_gradient,
+                                _fit_lbfgs, _mlp_init, _Workspace)
+
+CLIP = (ExperimentConfig.clip_lo, ExperimentConfig.clip_hi)   # default clip
 
 
 class TestDataset:
@@ -50,15 +52,16 @@ class TestPinball:
 
 
 class TestFitMean:
-    def test_ridge_recovers_exact_slope(self):
+    def test_ridge_recovers_exact_slope(self, monkeypatch):
+        monkeypatch.setattr(predictors, "RIDGE_LAMBDA", 0.0)
         z = RngStream(7).gaussian(0, 1, size=(200, 1))
-        model = fit_mean(Dataset(z, 2 * z), MeanSpec(kind="ridge", ridge_lambda=0.0))
+        model = fit_mean(Dataset(z, 2 * z), "ridge", 0)
         assert model.params["W"][0, 0] == pytest.approx(2.0, abs=1e-6)
         np.testing.assert_allclose(model.predict([[3.0]]), [[6.0]], atol=1e-6)
 
     def test_ridge_constant_target(self):
         z = RngStream(8).gaussian(0, 1, size=(100, 2))
-        model = fit_mean(Dataset(z, np.full((100, 1), 5.0)), MeanSpec(kind="ridge"))
+        model = fit_mean(Dataset(z, np.full((100, 1), 5.0)), "ridge", 0)
         np.testing.assert_allclose(model.predict(z), 5.0, atol=1e-6)
 
     def test_mlp_beats_zero_predictor(self):
@@ -66,7 +69,7 @@ class TestFitMean:
         Z = g.normal(0, 1, size=(2000, 4))
         eps = g.normal(0, np.sqrt(0.1), size=2000)
         C = ((np.sign(Z[:, 0]) + eps) * np.sqrt(np.abs(Z[:, 0])))[:, None]
-        model = fit_mean(Dataset(Z, C), MeanSpec(kind="mlp", seed=1))
+        model = fit_mean(Dataset(Z, C), "mlp", 1)
         Zt = g.normal(0, 1, size=(1000, 4))
         epst = g.normal(0, np.sqrt(0.1), size=1000)
         Ct = ((np.sign(Zt[:, 0]) + epst) * np.sqrt(np.abs(Zt[:, 0])))[:, None]
@@ -76,32 +79,33 @@ class TestFitMean:
         g = RngStream(5).generator
         Z = g.normal(0, 1, size=(200, 3))
         C = Z[:, :1] + 0.1 * g.normal(size=(200, 1))
-        a = fit_mean(Dataset(Z, C), MeanSpec(kind="mlp", seed=9))
-        b = fit_mean(Dataset(Z, C), MeanSpec(kind="mlp", seed=9))
+        a = fit_mean(Dataset(Z, C), "mlp", 9)
+        b = fit_mean(Dataset(Z, C), "mlp", 9)
         np.testing.assert_array_equal(a.predict(Z), b.predict(Z))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fit_mean(Dataset(np.zeros((3, 1)), np.zeros((3, 0))))
+            fit_mean(Dataset(np.zeros((3, 1)), np.zeros((3, 0))), "ridge", 0)
 
     def test_wrong_input_dim_rejected(self):
         z = RngStream(1).gaussian(0, 1, size=(50, 2))
-        model = fit_mean(Dataset(z, z[:, :1]), MeanSpec(kind="ridge"))
+        model = fit_mean(Dataset(z, z[:, :1]), "ridge", 0)
         with pytest.raises(ValueError):
             model.predict(np.zeros((5, 3)))
 
 
 class TestResiduals:
-    def test_perfect_model_zero_residuals(self):
+    def test_perfect_model_zero_residuals(self, monkeypatch):
+        monkeypatch.setattr(predictors, "RIDGE_LAMBDA", 0.0)
         z = RngStream(2).gaussian(0, 1, size=(100, 1))
-        model = fit_mean(Dataset(z, 3 * z), MeanSpec(kind="ridge", ridge_lambda=0.0))
+        model = fit_mean(Dataset(z, 3 * z), "ridge", 0)
         r = compute_residuals(Dataset(z, 3 * z), model)
         np.testing.assert_allclose(r, 0.0, atol=1e-8)
 
     def test_arithmetic(self):
         z = np.array([[0.0]])
         model = fit_mean(Dataset(np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]])),
-                         MeanSpec(kind="ridge"))
+                         "ridge", 0)
         r = compute_residuals(Dataset(z, np.array([[3.0]])), model)
         assert r[0, 0] == pytest.approx(2.0, abs=1e-6)
 
@@ -109,12 +113,12 @@ class TestResiduals:
         g = RngStream(4).generator
         Z = g.normal(size=(37, 2))
         C = g.normal(size=(37, 3))
-        model = fit_mean(Dataset(Z, C), MeanSpec(kind="ridge"))
+        model = fit_mean(Dataset(Z, C), "ridge", 0)
         assert compute_residuals(Dataset(Z, C), model).shape == (37, 3)
 
     def test_dim_mismatch(self):
         z = RngStream(2).gaussian(0, 1, size=(10, 1))
-        model = fit_mean(Dataset(z, np.hstack([z, z])), MeanSpec(kind="ridge"))
+        model = fit_mean(Dataset(z, np.hstack([z, z])), "ridge", 0)
         with pytest.raises(ValueError):
             compute_residuals(Dataset(z, z), model)
 
@@ -122,20 +126,20 @@ class TestResiduals:
 class TestFitQuantile:
     def test_constant_target(self):
         Z = RngStream(1).gaussian(0, 1, size=(500, 2))
-        h = fit_quantile(Z, np.full((500, 1), 2.0), 0.8, QuantileSpec(kind="linear"))
+        h = fit_quantile(Z, np.full((500, 1), 2.0), 0.8, "linear", 0)
         np.testing.assert_allclose(h.predict(Z), 2.0, atol=1e-3)
 
     def test_intercept_only_five_points(self):
         Z = np.zeros((5, 1))
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])[:, None]
-        h = fit_quantile(Z, y, 0.8, QuantileSpec(kind="linear"))
+        h = fit_quantile(Z, y, 0.8, "linear", 0)
         # any value in [4, 5] minimizes the pinball loss here
         val = h.predict([[0.0]])[0, 0]
         assert 4.0 - 1e-6 <= val <= 5.0 + 1e-6
 
     def test_half_normal_quantile(self):
         y = np.abs(RngStream(7).gaussian(0, 1, size=(10_000, 1)))
-        h = fit_quantile(np.zeros((10_000, 1)), y, 0.8, QuantileSpec(kind="linear"))
+        h = fit_quantile(np.zeros((10_000, 1)), y, 0.8, "linear", 0)
         target = normal_quantile(0.9)  # alpha-quantile of |N(0,1)|
         assert h.predict([[0.0]])[0, 0] == pytest.approx(target, abs=0.05)
 
@@ -145,7 +149,7 @@ class TestFitQuantile:
             Z = g.normal(size=(400, 3))
             y = np.abs(g.normal(size=(400, 2))) * (1 + 0.5 * np.abs(Z[:, :2]))
             alpha = 0.8
-            h = fit_quantile(Z, y, alpha, QuantileSpec(kind=kind, seed=3))
+            h = fit_quantile(Z, y, alpha, kind, 3)
             fitted_loss = np.sum(pinball(y - h.predict(Z), alpha))
             const = np.quantile(y, alpha, axis=0)
             const_loss = np.sum(pinball(y - const, alpha))
@@ -155,30 +159,30 @@ class TestFitQuantile:
         g = RngStream(12).generator
         y = np.abs(g.normal(size=(800, 1)))
         alpha = 0.8
-        h = fit_quantile(np.zeros((800, 1)), y, alpha, QuantileSpec(kind="linear"))
+        h = fit_quantile(np.zeros((800, 1)), y, alpha, "linear", 0)
         frac = float((y <= h.predict([[0.0]])[0, 0]).mean())
         slack = 2e-3
         assert alpha - 1 / 800 - slack <= frac <= alpha + 1 / 800 + slack
 
     def test_width_floor(self):
         y = np.zeros((50, 1))
-        h = fit_quantile(np.zeros((50, 1)), y, 0.8, QuantileSpec(kind="linear"))
+        h = fit_quantile(np.zeros((50, 1)), y, 0.8, "linear", 0)
         assert np.all(h.predict(np.zeros((3, 1))) >= WIDTH_FLOOR)
 
     def test_mlp_learns_width_structure(self):
         g = RngStream(15).generator
         Z = g.normal(size=(2000, 2))
         y = np.abs(g.normal(size=(2000, 1))) * np.sqrt(np.abs(Z[:, :1]))
-        h = fit_quantile(Z, y, 0.8, QuantileSpec(kind="mlp", seed=4))
+        h = fit_quantile(Z, y, 0.8, "mlp", 4)
         wide = h.predict([[4.0, 0.0]])[0, 0]
         narrow = h.predict([[0.01, 0.0]])[0, 0]
         assert wide > 2 * narrow
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            fit_quantile(np.zeros((5, 1)), np.ones((5, 1)), 1.2)
+            fit_quantile(np.zeros((5, 1)), np.ones((5, 1)), 1.2, "linear", 0)
         with pytest.raises(ValueError):
-            fit_quantile(np.zeros((5, 1)), -np.ones((5, 1)), 0.8)
+            fit_quantile(np.zeros((5, 1)), -np.ones((5, 1)), 0.8, "linear", 0)
 
 
 class TestGradients:
@@ -329,26 +333,26 @@ class TestWorkspace:
         for key in kept:
             _assert_same_bits(first[key], kept[key])
 
-    def test_linear_quantile_fit_matches_reference_loop(self):
+    def test_linear_quantile_fit_matches_reference_loop(self, monkeypatch):
         Z, Y = _problem(400, 4, 2, "pinball", seed=7)
         # wide covariates make the subgradient steps overshoot, so the best
         # parameters are those of epoch 71, not the last ones
         Z = 5.0 * Z
-        spec = QuantileSpec(kind="linear", epochs=80)
-        got = fit_quantile(Z, Y, 0.8, spec).params
+        monkeypatch.setattr(predictors, "WIDTH_EPOCHS", 80)
+        got = fit_quantile(Z, Y, 0.8, "linear", 0).params
         init = {"W": np.zeros((4, 2)), "b": np.quantile(Y, 0.8, axis=0)}
-        want = _reference_fit(init, Z, Y, "pinball", 0.8, spec.epochs,
+        want = _reference_fit(init, Z, Y, "pinball", 0.8, 80,
                               SUBGRADIENT_STEP, optimizer="sgd")
         assert got.keys() == want.keys()
         for key in want:
             _assert_same_bits(got[key], want[key])
 
-    def test_mlp_mean_fit_matches_reference_loop(self):
+    def test_mlp_mean_fit_matches_reference_loop(self, monkeypatch):
         Z, C = _problem(300, 4, 3, "mse", seed=9)
-        spec = MeanSpec(kind="mlp", epochs=60, seed=3)
-        got = fit_mean(Dataset(Z, C), spec).params
-        init = _mlp_init(4, HIDDEN, 3, RngStream(spec.seed, 101))
-        want = _reference_fit(init, Z, C, "mse", 0.5, spec.epochs, ADAM_STEP)
+        monkeypatch.setattr(predictors, "MEAN_EPOCHS", 60)
+        got = fit_mean(Dataset(Z, C), "mlp", 3).params
+        init = _mlp_init(4, HIDDEN, 3, RngStream(3, 101))
+        want = _reference_fit(init, Z, C, "mse", 0.5, 60, ADAM_STEP)
         assert got.keys() == want.keys()
         for key in want:
             _assert_same_bits(got[key], want[key])
@@ -423,16 +427,16 @@ def _xor_problem():
 
 
 class TestLbfgs:
-    def test_classifier_ratio_matches_reference_loop(self):
+    def test_classifier_ratio_matches_reference_loop(self, monkeypatch):
         g = RngStream(6).generator
         train_z = g.normal(size=(300, 4))
         test_z = g.normal(size=(200, 4)) + 0.5
-        spec = ClassifierSpec(kind="mlp", iterations=60, seed=8)
-        model = fit_classifier_ratio(train_z, test_z, spec)
+        monkeypatch.setattr(density_ratio, "CLASSIFIER_ITERATIONS", 60)
+        model = fit_classifier_ratio(train_z, test_z, "mlp", 8, CLIP)
         X = np.vstack([train_z, test_z])
         y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
-        init = _mlp_init(4, HIDDEN, 1, RngStream(spec.seed, 303))
-        want, _ = _reference_lbfgs(init, X, y, "logistic", 0.5, spec.iterations)
+        init = _mlp_init(4, HIDDEN, 1, RngStream(8, 303))
+        want, _ = _reference_lbfgs(init, X, y, "logistic", 0.5, 60)
         want["b2"] = want["b2"] - np.log(200 / 300)
         params = model.predictor.params
         assert params.keys() == want.keys()
@@ -559,7 +563,7 @@ def test_classifier_fit_beats_adam(scenario, d, seed):
     X = np.vstack([train_z, test_z])
     assert X.shape == (8000, d)
     y = np.concatenate([np.zeros(len(train_z)), np.ones(len(test_z))])[:, None]
-    model = fit_classifier_ratio(train_z, test_z, ClassifierSpec(kind="mlp", seed=seed))
+    model = fit_classifier_ratio(train_z, test_z, "mlp", seed, CLIP)
     params = dict(model.predictor.params)
     params["b2"] = params["b2"] + np.log(len(test_z) / len(train_z))
     loss, _ = loss_and_grad(params, X, y, "logistic")
@@ -575,7 +579,7 @@ def test_linear_classifier_fit_reaches_bfgs_loss(scenario, d, seed):
     train_z, test_z = _benchmark_classifier_data(scenario, d, seed)
     X = np.vstack([train_z, test_z])
     y = np.concatenate([np.zeros(len(train_z)), np.ones(len(test_z))])
-    model = fit_classifier_ratio(train_z, test_z, ClassifierSpec(kind="linear"))
+    model = fit_classifier_ratio(train_z, test_z, "linear", 0, CLIP)
     params = dict(model.predictor.params)
     params["b"] = params["b"] + np.log(len(test_z) / len(train_z))
     loss, _ = loss_and_grad(params, X, y[:, None], "logistic")
