@@ -8,8 +8,8 @@ experiments at desk scale.
 
 from .analytic import (DiscreteWorld, coverage_band, exact_coverage,
                        oracle_toy_decision, prob_conservative, tv_distance)
-from .conformal import (CalibrationResult, CalibScores, calib_scores,
-                        empirical_coverage, select_eta, uncertainty_box)
+from .conformal import (CalibScores, calib_scores, empirical_coverage, select_eta,
+                        uncertainty_box)
 from .density_ratio import (GaussianOracleRatio, RatioModel, fit_classifier_ratio,
                             fit_kmm_covariate, fit_kmm_label, trivial_ratio)
 from .harness import (ExperimentConfig, Report, ReportRow, calibrate_replicate,

@@ -44,8 +44,6 @@ def oracle_toy_decision(z, scn, alpha: float) -> int:
     nonpositive, then -1 when the lower one is nonnegative, else 0.
     """
     _check_alpha(alpha)
-    if scn.sigma1 <= 0 or scn.sigma2 <= 0:
-        raise ValueError("scenario sigmas must be positive")
     mean = conditional_test_mean(z, scn)
     spread = scn.sigma2 * normal_quantile(alpha)
     if mean + spread <= 0:       # VaR_alpha(c|z) <= 0
@@ -66,10 +64,6 @@ def worst_case_radius(scn) -> float:
 def prob_conservative(scn, alpha: float, method: str = OODRO) -> float:
     """P(x* = 0) under the shifted test law for either decision method."""
     _check_alpha(alpha)
-    if scn.sigma1 <= 0 or scn.sigma2 <= 0:
-        raise ValueError("scenario sigmas must be positive")
-    if scn.shift < 0:
-        raise ValueError("shift must be nonnegative")
     q = normal_quantile(alpha)
     ratio = scn.sigma2 / scn.sigma1
     s = scn.shift

@@ -121,7 +121,7 @@ def _selftest() -> int:
         scores = rng.uniform(0, 5, n)
         weights = rng.uniform(0.1, 5, n)
         alpha = float(rng.uniform(0.55, 0.95))
-        eta = select_eta(CalibScores(scores, weights), alpha).eta
+        eta = select_eta(CalibScores(scores, weights), alpha)
         total = weights.sum()
         brute = min(s for s in scores
                     if weights[scores <= s].sum() >= alpha * total)

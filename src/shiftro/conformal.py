@@ -38,12 +38,6 @@ class CalibScores:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    eta: float
-    alpha: float
-
-
 def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibScores:
     """Scores eta_i = max_k |c_ik - f(z_i)_k| / h(z_i)_k on the calibration set.
 
@@ -61,7 +55,7 @@ def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibS
     return CalibScores(scores, weights)
 
 
-def select_eta(scores: CalibScores, alpha: float) -> CalibrationResult:
+def select_eta(scores: CalibScores, alpha: float) -> float:
     """Smallest calibration score whose weighted empirical coverage reaches alpha.
 
     Sorts scores ascending, accumulates normalized weights, and returns the
@@ -75,11 +69,10 @@ def select_eta(scores: CalibScores, alpha: float) -> CalibrationResult:
     w = scores.weights[order]
     cum = np.cumsum(w)
     hit = np.flatnonzero(cum >= alpha * cum[-1])
-    eta = float(s[hit[0]]) if hit.size else float(s[-1])
-    return CalibrationResult(eta, alpha)
+    return float(s[hit[0]]) if hit.size else float(s[-1])
 
 
-def uncertainty_box(z, mean_model, quantile_model, calib: CalibrationResult) -> BoxSet:
+def uncertainty_box(z, mean_model, quantile_model, eta: float) -> BoxSet:
     """Box centered at f(z) with halfwidth eta * h(z).
 
     A covariate vector gives one box. A block of covariates, one per row,
@@ -90,7 +83,7 @@ def uncertainty_box(z, mean_model, quantile_model, calib: CalibrationResult) -> 
     block = Z.ndim == 2
     Z = np.atleast_2d(Z)
     center = mean_model.predict(Z)
-    half = calib.eta * quantile_model.predict(Z)
+    half = eta * quantile_model.predict(Z)
     if not block:
         center, half = center[0], half[0]
     return BoxSet(center - half, center + half)

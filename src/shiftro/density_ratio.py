@@ -24,8 +24,6 @@ KMM_ITERATIONS = 800    # projected-gradient steps of either KMM fit
 class RatioModel:
     """Base density-ratio model; subclasses provide _raw(C, Z)."""
 
-    kind = "base"
-
     def __init__(self, w_lo: float, w_hi: float):
         if not (0.0 < w_lo <= w_hi):
             raise ValueError(f"clip bounds must satisfy 0 < lo <= hi, got ({w_lo}, {w_hi})")
@@ -50,8 +48,6 @@ class RatioModel:
 class TrivialRatio(RatioModel):
     """w == 1 everywhere: ignores the distribution shift."""
 
-    kind = "trivial"
-
     def _raw(self, C, Z):
         return np.ones(Z.shape[0])
 
@@ -68,9 +64,8 @@ class ClassifierRatio(RatioModel):
     """w(z) = p1(z) / (1 - p1(z)) from a train-vs-test probability classifier
     whose single output is the logit of p1."""
 
-    def __init__(self, kind, predictor: Predictor, w_lo, w_hi):
+    def __init__(self, predictor: Predictor, w_lo, w_hi):
         super().__init__(w_lo, w_hi)
-        self.kind = f"cls-{kind}"
         self.predictor = predictor
 
     def _raw(self, C, Z):
@@ -100,7 +95,7 @@ def fit_classifier_ratio(train_z, test_z, kind: str, seed: int, clip) -> Classif
     params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, CLASSIFIER_ITERATIONS)
     # Unequal pool sizes bias the intercept by log(n_te / n_tr); remove it.
     params[bias] = params[bias] - np.log(Zte.shape[0] / Ztr.shape[0])
-    return ClassifierRatio(kind, Predictor(params), *clip)
+    return ClassifierRatio(Predictor(params), *clip)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +156,13 @@ class KmmRatio(RatioModel):
     """Per-sample KMM weights; defined only at the samples they were fit on,
     rows ``fit_indices`` of the sample passed to the fit."""
 
-    def __init__(self, kind, fit_Z, fit_C, sample_weights, w_lo, w_hi, objectives,
-                 fit_indices):
+    def __init__(self, fit_Z, fit_C, raw_weights, w_lo, w_hi, objectives, fit_indices):
         super().__init__(w_lo, w_hi)
-        self.kind = kind
         self.fit_Z = fit_Z
         self.fit_C = fit_C
-        self._weights = sample_weights
+        self._weights = raw_weights
         self.objectives = objectives
         self.fit_indices = fit_indices
-
-    @property
-    def sample_weights(self) -> np.ndarray:
-        return np.clip(self._weights, self.w_lo, self.w_hi)
 
     def _raw(self, C, Z):
         if Z.shape != self.fit_Z.shape or not np.array_equal(Z, self.fit_Z):
@@ -195,7 +184,7 @@ def _subsample(X, rng: RngStream):
     return X[idx], idx
 
 
-def _kmm_ratio(kind, quad, lin, fit_Z, fit_C, fit_indices, clip) -> KmmRatio:
+def _kmm_ratio(quad, lin, fit_Z, fit_C, fit_indices, clip) -> KmmRatio:
     """Minimize (1/2) w'Q w - lin'w, Q = quad + 1e-12 I, over 0 <= w <= KMM_CAP
     and |mean(w) - 1| <= (sqrt(n) - 1) / sqrt(n), the mean band of Huang et
     al. (2007), by KMM_ITERATIONS projected-gradient steps from w == 1.
@@ -212,11 +201,11 @@ def _kmm_ratio(kind, quad, lin, fit_Z, fit_C, fit_indices, clip) -> KmmRatio:
     w = project_box_meanband(np.ones(n), KMM_CAP, lo, hi)
     objs = []
     for _ in range(KMM_ITERATIONS):
-        g = quad @ w - lin
-        objs.append(0.5 * w @ (quad @ w) - lin @ w)
-        w = project_box_meanband(w - step * g, KMM_CAP, lo, hi)
+        qw = quad @ w
+        objs.append(0.5 * w @ qw - lin @ w)
+        w = project_box_meanband(w - step * (qw - lin), KMM_CAP, lo, hi)
     objs.append(0.5 * w @ (quad @ w) - lin @ w)
-    return KmmRatio(kind, fit_Z, fit_C, w, *clip, np.array(objs), fit_indices)
+    return KmmRatio(fit_Z, fit_C, w, *clip, np.array(objs), fit_indices)
 
 
 def fit_kmm_covariate(train_z, test_z, clip, rng: RngStream) -> KmmRatio:
@@ -235,7 +224,7 @@ def fit_kmm_covariate(train_z, test_z, clip, rng: RngStream) -> KmmRatio:
     bz = median_bandwidth(Ztr)
     quad = 2.0 * gaussian_gram(Ztr, Ztr, bz) / (n * n)
     lin = 2.0 * gaussian_gram(Ztr, Zte, bz).sum(axis=1) / (n * m)
-    return _kmm_ratio("kmm-cov", quad, lin, Ztr, None, idx, clip)
+    return _kmm_ratio(quad, lin, Ztr, None, idx, clip)
 
 
 def fit_kmm_label(train: Dataset, test_z, clip, rng: RngStream) -> KmmRatio:
@@ -259,7 +248,7 @@ def fit_kmm_label(train: Dataset, test_z, clip, rng: RngStream) -> KmmRatio:
     B = solve_spd(H + KMM_RIDGE * n * np.eye(n), H)
     quad = 2.0 * (B.T @ gaussian_gram(Ztr, Ztr, bz) @ B) / (n * n)
     lin = 2.0 * (B.T @ gaussian_gram(Ztr, Zte, bz).sum(axis=1)) / (n * m)
-    return _kmm_ratio("kmm-label", 0.5 * (quad + quad.T), lin, Ztr, Ctr, idx, clip)
+    return _kmm_ratio(0.5 * (quad + quad.T), lin, Ztr, Ctr, idx, clip)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +256,15 @@ def fit_kmm_label(train: Dataset, test_z, clip, rng: RngStream) -> KmmRatio:
 # ---------------------------------------------------------------------------
 
 class GaussianOracleRatio(RatioModel):
-    """Exact q/p for the 1-d Gaussian toy scenario.
+    """Exact q/p for a 1-d Gaussian ToyScenario, which has checked its sigmas
+    and shift kind.
 
     Covariate shift: w(z) = exp((2 z s - s^2) / (2 sigma1^2)).
     Label shift:     w(c) = exp((2 c s - s^2) / (2 (sigma1^2 + sigma2^2))).
     """
 
-    kind = "oracle"
-
     def __init__(self, scenario, w_lo: float, w_hi: float):
         super().__init__(w_lo, w_hi)
-        if scenario.sigma1 <= 0 or scenario.sigma2 <= 0:
-            raise ValueError("scenario sigmas must be positive")
         self.scenario = scenario
 
     def _raw(self, C, Z):
@@ -287,11 +273,9 @@ class GaussianOracleRatio(RatioModel):
         if scn.kind == "covariate":
             z = Z[:, 0]
             return np.exp((2.0 * z * s - s * s) / (2.0 * scn.sigma1 ** 2))
-        if scn.kind == "label":
-            if C is None:
-                raise ValueError("label-shift oracle needs cost values")
-            c = np.asarray(C, dtype=float).reshape(-1)
-            var = scn.sigma1 ** 2 + scn.sigma2 ** 2
-            return np.exp((2.0 * c * s - s * s) / (2.0 * var))
-        raise ValueError(f"unknown shift kind {scn.kind!r}")
+        if C is None:
+            raise ValueError("label-shift oracle needs cost values")
+        c = np.asarray(C, dtype=float).reshape(-1)
+        var = scn.sigma1 ** 2 + scn.sigma2 ** 2
+        return np.exp((2.0 * c * s - s * s) / (2.0 * var))
 

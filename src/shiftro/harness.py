@@ -33,10 +33,6 @@ from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScena
 SCENARIOS = ("toy", "simple", "shortest-path", "knapsack")
 RATIO_KINDS = ("trivial", "cls-linear", "cls-mlp", "kmm-cov", "kmm-label", "oracle")
 
-CSV_COLUMNS = ("seed", "scenario", "ratio_kind", "alpha", "d", "coverage_total",
-               "coverage_z1_neg", "coverage_z1_pos", "p_conservative", "mean_var",
-               "eta")
-
 
 class PipelineError(RuntimeError):
     """Component failure with the pipeline stage attached."""
@@ -77,6 +73,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.ratio_kind not in RATIO_KINDS:
             raise ValueError(f"unknown ratio kind {self.ratio_kind!r}")
+        for name in ("alpha", "shift", "sigma1", "sigma2", "clip_lo", "clip_hi"):
+            # bool is a number in Python, but JSON's true is not a shift or a bound
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0.5 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0.5, 1), got {self.alpha}")
         counts = ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var", "replicates",
@@ -108,6 +108,8 @@ class ExperimentConfig:
                              f"got ({self.clip_lo}, {self.clip_hi})")
         if self.format not in ("csv", "json", "svg"):
             raise ValueError(f"unknown format {self.format!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a path or null, got {self.out!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -148,11 +150,12 @@ class ReportRow:
     p_conservative: float
     mean_var: float
     eta: float
-    shift: float = 0.0
-    shift_kind: str = "covariate"
 
     def csv_values(self):
         return [getattr(self, col) for col in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,7 @@ def _decide(scenario, box: BoxSet, template: LinearProgram):
 def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
     """Sample, fit f, h and the ratio, and calibrate eta for one replicate.
 
-    Returns ``(scenario, mean_model, quantile_model, calibration)``, with
+    Returns ``(scenario, mean_model, quantile_model, eta)``, with
     streams keyed by seed + rep; ``run_replicate`` evaluates what it returns.
     """
     seed = config.seed + rep
@@ -257,22 +260,22 @@ def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
 
     scores = _stage("calib-scores", calib_scores, d2_cal, mean_model, quant_model,
                     ratio_model)
-    calib = _stage("select-eta", select_eta, scores, alpha)
-    return scenario, mean_model, quant_model, calib
+    eta = _stage("select-eta", select_eta, scores, alpha)
+    return scenario, mean_model, quant_model, eta
 
 
 def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
     """One full pipeline pass; replicate streams are keyed by seed + rep."""
     seed = config.seed + rep
     alpha = config.alpha
-    scenario, mean_model, quant_model, calib = calibrate_replicate(config, rep)
+    scenario, mean_model, quant_model, eta = calibrate_replicate(config, rep)
 
     eval_data = _stage("sample-eval", scenario.sample, config.n_eval,
                        RngStream(seed, 5), TEST)
     var_rng = RngStream(seed, 6)
 
     boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, mean_model,
-                   quant_model, calib)
+                   quant_model, eta)
     covered = box_hits(eval_data.C, boxes)
     template = _stage("decide", scenario.decision_lp)
     conservative = np.zeros(eval_data.n, dtype=bool)
@@ -295,7 +298,7 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
         alpha=alpha, d=scenario.d,
         coverage_total=cov_total, coverage_z1_neg=cov_neg, coverage_z1_pos=cov_pos,
         p_conservative=float(conservative.mean()), mean_var=float(var_vals.mean()),
-        eta=calib.eta, shift=config.shift, shift_kind=config.shift_kind)
+        eta=eta)
 
 
 def _replicate_task(payload):
@@ -349,10 +352,7 @@ def emit_report(report: Report, fmt: str | None = None, out: str | None = None):
         paths.append(bar_path)
         if report.config.scenario == "toy":
             curve_path = bar_path.removesuffix(".svg") + "_curves.svg"
-            _write_text(curve_path, conservatism_curves_svg(
-                report.config.alpha, report.config.shift_kind,
-                sigma1=report.config.sigma1, sigma2=report.config.sigma2,
-                rows=report.rows))
+            _write_text(curve_path, conservatism_curves_svg(report))
             paths.append(curve_path)
         return paths
     raise ValueError(f"unknown format {fmt!r}")
@@ -367,6 +367,7 @@ def _write_text(path, text):
 
 
 _SVG_W, _SVG_H, _SVG_PAD = 640, 400, 50
+_CURVE_S_MAX, _CURVE_POINTS = 3.0, 25   # the conservatism chart's shift grid
 
 
 def _svg_header(title):
@@ -411,28 +412,22 @@ def coverage_bars_svg(report: Report) -> str:
     return "".join(parts)
 
 
-def conservatism_curves_svg(alpha, shift_kind, sigma1=1.0, sigma2=1.0,
-                            rows=(), s_max=3.0, n_pts=25) -> str:
-    """Line chart of P(x* = 0) vs shift: shift-aware curve (falling) and
-    worst-case-ball curve (rising), plus empirical medians when provided."""
-    grid = np.linspace(0.0, s_max, n_pts)
-    curves = {}
-    for method, color in ((analytic.OODRO, "steelblue"), (analytic.WSBALL, "darkorange")):
-        vals = [analytic.prob_conservative(
-            ToyScenario(sigma1, sigma2, s, shift_kind), alpha, method) for s in grid]
-        curves[method] = vals
+def conservatism_curves_svg(report: Report) -> str:
+    """Line chart of P(x* = 0) vs shift for the toy world of the report's
+    config: shift-aware curve (falling) and worst-case-ball curve (rising),
+    plus the median over the report's rows at its shift, when that lies on
+    the chart."""
+    cfg = report.config
+    grid = np.linspace(0.0, _CURVE_S_MAX, _CURVE_POINTS)
     parts = [_svg_header(f"conservative-solution probability vs shift "
-                         f"(alpha={alpha}, {shift_kind})")]
+                         f"(alpha={cfg.alpha}, {cfg.shift_kind})")]
     for method, color in ((analytic.OODRO, "steelblue"), (analytic.WSBALL, "darkorange")):
-        pts = [_xy(s / s_max, v) for s, v in zip(grid, curves[method])]
+        pts = [_xy(s / _CURVE_S_MAX, analytic.prob_conservative(
+            ToyScenario(cfg.sigma1, cfg.sigma2, s, cfg.shift_kind), cfg.alpha, method))
+            for s in grid]
         parts.append(_polyline(pts, color))
-    by_shift = {}
-    for row in rows:
-        by_shift.setdefault(row.shift, []).append(row.p_conservative)
-    for s, vals in sorted(by_shift.items()):
-        if s > s_max:
-            continue
-        x, y = _xy(s / s_max, float(np.median(vals)))
+    if report.rows and cfg.shift <= _CURVE_S_MAX:
+        x, y = _xy(cfg.shift / _CURVE_S_MAX, report.median("p_conservative"))
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="black"/>\n')
     parts.append("</svg>\n")
     return "".join(parts)

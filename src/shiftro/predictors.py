@@ -5,8 +5,11 @@ regression) and a one-hidden-layer MLP with 16 units. The MLP forward and
 backward pass is shared with the probabilistic classifier in density_ratio.
 The mean and width MLPs train with full-batch Adam (_fit_gradient); the
 smooth logistic loss of both classifiers, linear and MLP, trains with
-L-BFGS (_fit_lbfgs). Every fitted mean or width model is a Predictor over
-its parameter dict.
+L-BFGS (_fit_lbfgs). Both optimizers see the same flat objective
+(_flat_objective): the parameters as one vector, and a pass that prices it
+with one loss_and_grad call, which forms each kind's loss and output
+gradient in one branch. Every fitted mean or width model is a Predictor
+over its parameter dict.
 """
 
 from __future__ import annotations
@@ -125,20 +128,33 @@ def _linear_forward(params, Z, work=None):
     return out, None
 
 
-def _output_grad(kind, out, Y, alpha, work):
+def _loss_and_grad_out(kind, out, Y, alpha, work):
+    """The mean loss and its gradient in ``out``, one branch per kind; the
+    gradient G lives in ``work``."""
     n = out.shape[0]
     G = work.array("G", out.shape)
+    t1 = work.array("t1", out.shape)
     if kind == "mse":
         np.subtract(out, Y, out=G)
+        loss = 0.5 * np.sum(np.square(G, out=t1)) / n
     elif kind == "pinball":
-        # d/d out of rho_alpha(Y - out), zero subgradient on the kink
+        # rho_alpha(Y - out) term by term; its derivative in out has a zero
+        # subgradient on the kink
         u = np.subtract(Y, out, out=work.array("u", out.shape))
+        t2 = work.array("t2", out.shape)
+        np.multiply(alpha, np.maximum(u, 0.0, out=t1), out=t1)
+        np.negative(u, out=t2)
+        np.multiply(1.0 - alpha, np.maximum(t2, 0.0, out=t2), out=t2)
+        loss = np.sum(np.add(t1, t2, out=t1)) / n
         mask = work.array("mask", out.shape, bool)
         np.multiply(-alpha, np.greater(u, 0, out=mask), out=G)
-        below = np.multiply(1.0 - alpha, np.less(u, 0, out=mask),
-                            out=work.array("t1", out.shape))
-        np.add(G, below, out=G)
+        np.add(G, np.multiply(1.0 - alpha, np.less(u, 0, out=mask), out=t1), out=G)
     elif kind == "logistic":
+        # stable softplus(out) - Y*out
+        t2 = work.array("t2", out.shape)
+        np.logaddexp(0.0, out, out=t1)
+        np.multiply(Y, out, out=t2)
+        loss = np.sum(np.subtract(t1, t2, out=t1)) / n
         np.negative(out, out=G)
         np.exp(G, out=G)
         np.add(1.0, G, out=G)
@@ -147,29 +163,7 @@ def _output_grad(kind, out, Y, alpha, work):
     else:
         raise ValueError(kind)
     np.divide(G, n, out=G)
-    return G
-
-
-def _loss(kind, out, Y, alpha, work):
-    n = out.shape[0]
-    t1 = work.array("t1", out.shape)
-    if kind == "mse":
-        np.subtract(out, Y, out=t1)
-        return 0.5 * np.sum(np.square(t1, out=t1)) / n
-    t2 = work.array("t2", out.shape)
-    if kind == "pinball":
-        # pinball(Y - out, alpha), term by term
-        u = np.subtract(Y, out, out=work.array("u", out.shape))
-        np.multiply(alpha, np.maximum(u, 0.0, out=t1), out=t1)
-        np.negative(u, out=t2)
-        np.multiply(1.0 - alpha, np.maximum(t2, 0.0, out=t2), out=t2)
-        return np.sum(np.add(t1, t2, out=t1)) / n
-    if kind == "logistic":
-        # stable softplus(out) - Y*out
-        np.logaddexp(0.0, out, out=t1)
-        np.multiply(Y, out, out=t2)
-        return np.sum(np.subtract(t1, t2, out=t1)) / n
-    raise ValueError(kind)
+    return loss, G
 
 
 def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
@@ -183,7 +177,7 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
     work = _Workspace() if work is None else work
     if "W1" in params:
         out, H = _mlp_forward(params, Z, work)
-        G = _output_grad(kind, out, Y, alpha, work)
+        loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
         dW2 = H.T @ G
         db2 = G.sum(axis=0)
         # np.dot, not np.matmul: with one output column (k = 1) matmul runs
@@ -198,9 +192,25 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
         grads = {"W1": Z.T @ dH, "b1": np.einsum("ij->j", dH), "W2": dW2, "b2": db2}
     else:
         out, _ = _linear_forward(params, Z, work)
-        G = _output_grad(kind, out, Y, alpha, work)
+        loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
         grads = {"W": Z.T @ G, "b": G.sum(axis=0)}
-    return _loss(kind, out, Y, alpha, work), grads
+    return loss, grads
+
+
+def _flat_objective(params, Z, Y, kind, alpha):
+    """The fit's parameters as one flat vector, the parameter dict as views
+    into it, and ``evaluate()``: the loss and the flat gradient at the
+    vector's current value, from one loss_and_grad call over a workspace
+    that the fit's passes share."""
+    flat = np.concatenate([a.ravel() for a in params.values()])
+    views = _views(flat, params)
+    work = _Workspace()
+
+    def evaluate():
+        loss, grads = loss_and_grad(views, Z, Y, kind, alpha, work)
+        return loss, np.concatenate([grads[k].ravel() for k in views])
+
+    return flat, views, evaluate
 
 
 def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
@@ -211,23 +221,18 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
     flat vector (the parameter dict holds views into it), so a step is a few
     numpy calls on that vector rather than a few per parameter array.
     """
-    keys = list(params)
-    flat = np.concatenate([params[k].ravel() for k in keys])
-    params = _views(flat, keys, params)
-    grad = np.empty_like(flat)
+    flat, params, evaluate = _flat_objective(params, Z, Y, kind, alpha)
     if optimizer == "adam":
         m = np.zeros_like(flat)
         v = np.zeros_like(flat)
         b1, b2, eps = 0.9, 0.999, 1e-8
     best_loss = np.inf
     best = flat.copy()
-    work = _Workspace()
     for t in range(1, epochs + 1):
-        loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work)
+        loss, grad = evaluate()
         if loss < best_loss:
             best_loss = loss
             best[:] = flat
-        np.concatenate([grads[k].ravel() for k in keys], out=grad)
         if optimizer == "adam":
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad ** 2
@@ -237,10 +242,10 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
         else:  # subgradient descent with step decay
             step = SUBGRADIENT_STEP / np.sqrt(1.0 + t / 50.0)
             flat -= step * grad
-    loss, _ = loss_and_grad(params, Z, Y, kind, alpha, work)
+    loss, _ = evaluate()
     if loss < best_loss:
         best, best_loss = flat, loss
-    return _views(best, keys, params), best_loss
+    return _views(best, params), best_loss
 
 
 def _two_loop(grad, pairs):
@@ -276,15 +281,7 @@ def _fit_lbfgs(params, Z, Y, kind, alpha, iterations):
     point and its loss. Parameters and gradients are flat vectors, as in
     _fit_gradient, and one loss_and_grad call prices each trial point.
     """
-    keys = list(params)
-    flat = np.concatenate([params[k].ravel() for k in keys])
-    params = _views(flat, keys, params)
-    work = _Workspace()
-
-    def evaluate():
-        loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work)
-        return loss, np.concatenate([grads[k].ravel() for k in keys])
-
+    flat, params, evaluate = _flat_objective(params, Z, Y, kind, alpha)
     loss, grad = evaluate()
     pairs = deque(maxlen=LBFGS_MEMORY)
     for _ in range(iterations):
@@ -317,13 +314,12 @@ def _fit_lbfgs(params, Z, Y, kind, alpha, iterations):
     return params, loss
 
 
-def _views(flat, keys, shapes):
-    """Per-key views into ``flat``, shaped like the arrays of ``shapes``."""
+def _views(flat, like):
+    """Views into ``flat``, one per array of ``like``, under its key and shape."""
     views, at = {}, 0
-    for k in keys:
-        size = shapes[k].size
-        views[k] = flat[at:at + size].reshape(shapes[k].shape)
-        at += size
+    for k, a in like.items():
+        views[k] = flat[at:at + a.size].reshape(a.shape)
+        at += a.size
     return views
 
 

@@ -26,7 +26,11 @@ from .predictors import Dataset
 
 TRAIN = "train"
 TEST = "test"
+SIMPLE_NOISE_VAR = 0.1
+KNAPSACK_ITEMS = 20
+KNAPSACK_BUDGET_FRACTION = 0.3   # budget as a share of the items' total price
 GRID_COST_FLOOR = 0.01
+GRID_FLOW_TOL = 1e-6    # largest distance of an arc flow from 0 or 1
 GRID_SIDE = 5
 GRID_SOURCE = (0, 0)
 GRID_SINK = (GRID_SIDE - 1, GRID_SIDE - 1)
@@ -150,11 +154,10 @@ class SimpleScenario(_GaussianCovariates):
     """Multi-d covariates; c = (sign(z1) + eps) * sqrt(|z1|), eps ~ N(0, 0.1)."""
 
     d: int = 4
-    noise_var: float = 0.1
     shift: float = 1.0           # test mean is shift * 1_d
 
     def _noise(self, n, rng, phase):
-        return rng.gaussian(0.0, self.noise_var, size=n)
+        return rng.gaussian(0.0, SIMPLE_NOISE_VAR, size=n)
 
     def _costs(self, Z, eps):
         z1 = Z[:, 0]
@@ -216,7 +219,7 @@ def build_shortest_path_lp(scn: GridScenario) -> LinearProgram:
                          lo=np.zeros(n), hi=np.full(n, np.inf))
 
 
-def trace_path(scn: GridScenario, x, tol: float = 1e-6):
+def trace_path(scn: GridScenario, x):
     """Validate that x is a 0/1 flow tracing a connected source-sink path.
 
     Returns the node sequence; raises ValueError when x is fractional or
@@ -224,7 +227,7 @@ def trace_path(scn: GridScenario, x, tol: float = 1e-6):
     """
     x = np.asarray(x, dtype=float)
     rounded = np.round(x)
-    if np.max(np.abs(x - rounded)) > tol or np.any((rounded != 0) & (rounded != 1)):
+    if np.max(np.abs(x - rounded)) > GRID_FLOW_TOL or np.any((rounded != 0) & (rounded != 1)):
         raise ValueError("solution is not a 0/1 arc vector")
     chosen = {u: v for (u, v), val in zip(GRID_ARCS, rounded) if val == 1}
     if len(chosen) != int(rounded.sum()):
@@ -247,34 +250,31 @@ class KnapsackScenario(_GaussianCovariates):
     """20 items; utilities c = (Theta z)^2 * eps, eps ~ U(4/5, 6/5); budgeted."""
 
     d: int = 10
-    n_items: int = 20
     shift: float = 1.0
     theta_seed: int = 11
-    budget_fraction: float = 0.3
     theta: np.ndarray = field(init=False)
     prices: np.ndarray = field(init=False)
     budget: float = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_items < 1:
-            raise ValueError("n_items must be at least 1")
         stream = RngStream(self.theta_seed, 901)
-        theta = stream.bernoulli(0.5, size=(self.n_items, self.d))
-        prices = stream.uniform(1.0, 10.0, size=self.n_items)
-        budget = self.budget_fraction * float(prices.sum())
-        if budget < 0:
-            raise ValueError("budget must be nonnegative")
+        theta = stream.bernoulli(0.5, size=(KNAPSACK_ITEMS, self.d))
+        prices = stream.uniform(1.0, 10.0, size=KNAPSACK_ITEMS)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "budget", KNAPSACK_BUDGET_FRACTION * float(prices.sum()))
+
+    @property
+    def n_items(self) -> int:
+        return KNAPSACK_ITEMS
 
     @property
     def n_cost(self) -> int:
         return self.n_items
 
     def _noise(self, n, rng, phase):
-        return rng.uniform(0.8, 1.2, size=(n, self.n_items))
+        return rng.uniform(0.8, 1.2, size=(n, KNAPSACK_ITEMS))
 
     def _costs(self, Z, noise):
         return _rowwise_matvec(self.theta, Z) ** 2 * noise

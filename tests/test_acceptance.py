@@ -201,8 +201,7 @@ class TestCriterion5FigureThreeTable:
         triv_cfg = reports["trivial"].config
         diffs = []
         for rep in range(self.SHIFT_REPLICATES):
-            scenario, f, h, calib = calibrate_replicate(triv_cfg, rep)
-            eta = calib.eta
+            scenario, f, h, eta = calibrate_replicate(triv_cfg, rep)
             if rep < triv_cfg.replicates:
                 # anchor: the calibration is the one run_replicate reports
                 assert eta == reports["trivial"].rows[rep].eta, rep
@@ -248,7 +247,7 @@ class TestCriterion6WeightedSelectionOracle:
             scores = rng.uniform(0, 5, n)
             weights = rng.uniform(0.05, 5, n)
             alpha = float(rng.uniform(0.51, 0.99))
-            got = select_eta(CalibScores(scores, weights), alpha).eta
+            got = select_eta(CalibScores(scores, weights), alpha)
             total = weights.sum()
             brute = min(s for s in np.sort(scores)
                         if weights[scores <= s].sum() >= alpha * total)
@@ -302,7 +301,7 @@ class TestCriterion8KmmRecovery:
         te = (g.random(400) < 0.8).astype(float)[:, None]
         m = fit_kmm_covariate(tr, te, (0.05, 20.0), rng=RngStream(1))
         truth = np.where(tr[:, 0] == 0, 0.4, 1.6)
-        cov_mae = float(np.abs(m.sample_weights - truth).mean())
+        cov_mae = float(np.abs(m.weights(None, m.fit_Z) - truth).mean())
         assert cov_mae <= 0.15
 
         lab_tr = (g.random(400) < 0.5).astype(int)
@@ -312,7 +311,7 @@ class TestCriterion8KmmRecovery:
         Zte = (np.array([0.0, 2.0])[lab_te] + g.normal(0, 0.5, 400))[:, None]
         ml = fit_kmm_label(Dataset(Z, C), Zte, (0.05, 20.0), rng=RngStream(2))
         truth_l = np.where(lab_tr == 0, 0.5, 1.5)
-        lab_mae = float(np.abs(ml.sample_weights - truth_l).mean())
+        lab_mae = float(np.abs(ml.weights(None, ml.fit_Z) - truth_l).mean())
         assert lab_mae <= 0.2
         elapsed = time.time() - t0
         _report(8, True, f"covariate MAE {cov_mae:.3f} (<= 0.15), label MAE "

@@ -159,7 +159,7 @@ def exact_coverage_reference(world: DiscreteWorld, n_cal: int, alpha: float,
     for tup in product(range(world.size), repeat=n_cal):
         tup = np.array(tup)
         prob = float(np.prod(world.p[tup]))
-        eta = select_eta(CalibScores(scores[tup], w[tup]), alpha).eta
+        eta = select_eta(CalibScores(scores[tup], w[tup]), alpha)
         cov = float(world.q[order][scores[order] <= eta].sum())
         total += prob * cov
     return total

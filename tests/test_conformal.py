@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shiftro import predictors
-from shiftro.conformal import (CalibScores, CalibrationResult, calib_scores,
-                               empirical_coverage, select_eta, uncertainty_box)
+from shiftro.conformal import (CalibScores, calib_scores, empirical_coverage, select_eta,
+                               uncertainty_box)
 from shiftro.density_ratio import GaussianOracleRatio, trivial_ratio
 from shiftro.harness import ExperimentConfig
 from shiftro.lp import BoxSet
@@ -79,16 +79,16 @@ class TestCalibScores:
 class TestSelectEta:
     def test_unit_weights_median_case(self):
         s = CalibScores(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
-        assert select_eta(s, 0.5).eta == brute_force_eta(s.scores, s.weights, 0.5) == 2.0
+        assert select_eta(s, 0.5) == brute_force_eta(s.scores, s.weights, 0.5) == 2.0
 
     def test_unit_weights_strict_level(self):
         s = CalibScores(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
-        assert select_eta(s, 0.99).eta == 4.0
+        assert select_eta(s, 0.99) == 4.0
 
     def test_heavy_weight_on_largest_score(self):
         s = CalibScores(np.array([1.0, 2.0, 3.0, 4.0]),
                         np.array([1.0, 1.0, 1.0, 97.0]))
-        assert select_eta(s, 0.9).eta == 4.0
+        assert select_eta(s, 0.9) == 4.0
 
     def test_brute_force_oracle_random_instances(self):
         rng = np.random.default_rng(0)
@@ -97,7 +97,7 @@ class TestSelectEta:
             scores = rng.uniform(0, 5, n)
             weights = rng.uniform(0.05, 5, n)
             alpha = float(rng.uniform(0.51, 0.99))
-            got = select_eta(CalibScores(scores, weights), alpha).eta
+            got = select_eta(CalibScores(scores, weights), alpha)
             assert got == brute_force_eta(scores, weights, alpha)
 
     def test_monotone_in_alpha(self):
@@ -105,7 +105,7 @@ class TestSelectEta:
         for _ in range(50):
             n = int(rng.integers(2, 40))
             s = CalibScores(rng.uniform(0, 5, n), rng.uniform(0.1, 3, n))
-            etas = [select_eta(s, a).eta for a in (0.55, 0.7, 0.85, 0.95)]
+            etas = [select_eta(s, a) for a in (0.55, 0.7, 0.85, 0.95)]
             assert all(a <= b + 1e-15 for a, b in zip(etas, etas[1:]))
 
     def test_invariant_to_weight_rescaling(self):
@@ -115,8 +115,8 @@ class TestSelectEta:
             scores = rng.uniform(0, 5, n)
             weights = rng.uniform(0.1, 3, n)
             a = float(rng.uniform(0.55, 0.95))
-            e1 = select_eta(CalibScores(scores, weights), a).eta
-            e2 = select_eta(CalibScores(scores, 7.3 * weights), a).eta
+            e1 = select_eta(CalibScores(scores, weights), a)
+            e2 = select_eta(CalibScores(scores, 7.3 * weights), a)
             assert e1 == e2
 
     def test_input_validation(self):
@@ -130,15 +130,15 @@ class TestSelectEta:
 
 class TestUncertaintyBox:
     def test_degenerate_at_zero_eta(self):
-        calib = CalibrationResult(0.0, 0.8)
-        box = uncertainty_box([0.0], _ConstMean(2.0), _ConstWidth(1.0), calib)
+        eta = 0.0
+        box = uncertainty_box([0.0], _ConstMean(2.0), _ConstWidth(1.0), eta)
         np.testing.assert_allclose(box.lower, box.upper)
         np.testing.assert_allclose(box.center, 2.0)
 
     def test_symmetry_about_center(self):
-        calib = CalibrationResult(1.7, 0.8)
+        eta = 1.7
         f = _ConstMean([1.0, -2.0])
-        box = uncertainty_box([0.0], f, _ConstWidth([0.5, 2.0]), calib)
+        box = uncertainty_box([0.0], f, _ConstWidth([0.5, 2.0]), eta)
         np.testing.assert_allclose(box.lower + box.upper, 2 * f.value)
 
     def test_coverage_equivalence_with_scores(self):
@@ -146,11 +146,10 @@ class TestUncertaintyBox:
         f = _ConstMean([0.5, -1.0], dim=3)
         h = _ConstWidth([1.0, 0.7], dim=3)
         eta = 1.3
-        calib = CalibrationResult(eta, 0.8)
         for _ in range(200):
             z = g.normal(size=3)
             c = g.normal(scale=2.0, size=2)
-            box = uncertainty_box(z, f, h, calib)
+            box = uncertainty_box(z, f, h, eta)
             score = calib_scores(Dataset(z[None, :], c[None, :]), f, h,
                                  trivial_ratio(*CLIP)).scores[0]
             assert box.contains(c) == (score <= eta)
@@ -164,11 +163,11 @@ class TestUncertaintyBox:
         monkeypatch.setattr(predictors, "WIDTH_EPOCHS", 50)
         f = fit_mean(Dataset(Z, C), "mlp", 1)
         h = fit_quantile(Z, np.abs(C - f.predict(Z)), 0.8, "mlp", 2)
-        calib = CalibrationResult(1.3, 0.8)
-        block = uncertainty_box(Z[:40], f, h, calib)
+        eta = 1.3
+        block = uncertainty_box(Z[:40], f, h, eta)
         assert block.lower.shape == block.upper.shape == (40, 2)
         for i in range(40):
-            one = uncertainty_box(Z[i], f, h, calib)
+            one = uncertainty_box(Z[i], f, h, eta)
             # one block product against 40 one-row products: the matmul may
             # sum in another order, so allow a few ulps
             np.testing.assert_allclose(block.lower[i], one.lower, rtol=1e-13, atol=1e-14)
@@ -231,7 +230,7 @@ class TestCoverageGuarantees:
             d2 = scn.sample(n_cal, RngStream(100 + rep, 1), TRAIN)
             ev = scn.sample(n_eval, RngStream(100 + rep, 2), TRAIN)
             scores = calib_scores(d2, f, h, trivial_ratio(*CLIP))
-            eta = select_eta(scores, alpha).eta
+            eta = select_eta(scores, alpha)
             ev_scores = calib_scores(ev, f, h, trivial_ratio(*CLIP)).scores
             covs.append(float((ev_scores <= eta).mean()))
         mean_cov = float(np.mean(covs))
@@ -255,7 +254,7 @@ class TestCoverageGuarantees:
             d2 = scn.sample(n_cal, RngStream(300 + rep, 1), TRAIN)
             ev = scn.sample(n_eval, RngStream(300 + rep, 2), TEST)
             scores = calib_scores(d2, f, h, ratio)
-            eta = select_eta(scores, alpha).eta
+            eta = select_eta(scores, alpha)
             ev_scores = calib_scores(ev, f, h, trivial_ratio(*CLIP)).scores
             covs.append(float((ev_scores <= eta).mean()))
             spreads.append(scores.weights.max() / scores.weights.min())

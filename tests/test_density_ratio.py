@@ -129,7 +129,7 @@ class TestKmmCovariate:
     def test_identical_point_sets_give_unit_weights(self):
         z = np.array([[0.0], [1.0]] * 200)
         m = fit_kmm_covariate(z, z.copy(), CLIP, rng=RngStream(2))
-        np.testing.assert_allclose(m.sample_weights, 1.0, atol=0.05)
+        np.testing.assert_allclose(m.weights(None, m.fit_Z), 1.0, atol=0.05)
 
     def test_discrete_two_point_recovery(self):
         g = RngStream(42).generator
@@ -137,7 +137,7 @@ class TestKmmCovariate:
         te = (g.random(400) < 0.8).astype(float)[:, None]
         m = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(1))
         truth = np.where(tr[:, 0] == 0, 0.2 / 0.5, 0.8 / 0.5)
-        assert np.abs(m.sample_weights - truth).mean() <= 0.15
+        assert np.abs(m.weights(None, m.fit_Z) - truth).mean() <= 0.15
 
     def test_constraints_and_objective(self, monkeypatch):
         g = RngStream(3).generator
@@ -173,7 +173,7 @@ class TestKmmCovariate:
         tr = g.normal(size=(50, 1))
         te = g.normal(size=(50, 1))
         m = fit_kmm_covariate(tr, te, CLIP, rng=RngStream(8))
-        np.testing.assert_array_equal(m.weights(None, tr), m.sample_weights)
+        np.testing.assert_array_equal(m.weights(None, tr), np.clip(m._weights, *CLIP))
         with pytest.raises(ValueError):
             m.weights(None, tr + 1.0)
 
@@ -191,13 +191,13 @@ class TestKmmLabel:
     def test_no_shift_near_one(self):
         train, zte, _ = self._label_world(11, q1=0.5)
         m = fit_kmm_label(train, zte, CLIP, rng=RngStream(12))
-        assert np.abs(m.sample_weights - 1.0).mean() <= 0.2
+        assert np.abs(m.weights(None, m.fit_Z) - 1.0).mean() <= 0.2
 
     def test_discrete_label_shift_recovery(self):
         train, zte, lab = self._label_world(42, q1=0.75)
         m = fit_kmm_label(train, zte, CLIP, rng=RngStream(13))
         truth = np.where(lab == 0, 0.5, 1.5)
-        assert np.abs(m.sample_weights - truth).mean() <= 0.2
+        assert np.abs(m.weights(None, m.fit_Z) - truth).mean() <= 0.2
 
     def test_loss_monotone(self):
         train, zte, _ = self._label_world(6)

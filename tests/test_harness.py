@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 import shiftro
 from shiftro.cli import _config_from_args, build_parser
 from shiftro.harness import (CSV_COLUMNS, ExperimentConfig, PipelineError, Report,
-                             ReportRow, emit_report, empirical_var, run_pipeline,
-                             run_replicate, _stage)
+                             ReportRow, conservatism_curves_svg, emit_report,
+                             empirical_var, run_pipeline, run_replicate, _stage)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.scenarios import GridScenario, ToyScenario, build_shortest_path_lp
@@ -163,8 +164,8 @@ class TestEmitReport:
         rws = tuple(ReportRow(seed=i, scenario="toy", ratio_kind="oracle",
                               alpha=0.8, d=1, coverage_total=0.8,
                               coverage_z1_neg=0.79, coverage_z1_pos=0.81,
-                              p_conservative=0.4, mean_var=0.25, eta=1.1,
-                              shift=0.5) for i in range(rows))
+                              p_conservative=0.4, mean_var=0.25, eta=1.1)
+                    for i in range(rows))
         return Report(rws, cfg)
 
     def test_empty_report_header_only(self, tmp_path):
@@ -216,6 +217,16 @@ class TestEmitReport:
                 assert np.all(diffs <= 1e-9)    # worst-case ball rises
         bars = out.read_text()
         assert "<rect" in bars and "crimson" in bars
+
+    def test_svg_curves_mark_the_median_only_on_the_chart(self):
+        # one median point at the config's shift when it lies on the 0..3
+        # axis; none off the axis or without rows
+        report = self._tiny_report(3)
+        assert conservatism_curves_svg(report).count("<circle") == 1
+        off_axis = Report(report.rows, replace(report.config, shift=3.5))
+        assert conservatism_curves_svg(off_axis).count("<circle") == 0
+        empty = Report((), report.config)
+        assert conservatism_curves_svg(empty).count("<circle") == 0
 
     def test_svg_curves_beside_bars_in_a_dir_named_svg(self, tmp_path):
         # only the file name's trailing suffix changes, not the directory's
@@ -278,6 +289,14 @@ class TestCli:
         pytest.param({"replicates": True}, id="replicates=true"),
         pytest.param({"n_eval": True}, id="n_eval=true"),
         pytest.param({"seed": False}, id="seed=false"),
+        # nor is it a shift, a sigma or a clip bound
+        pytest.param({"shift": True}, id="shift=true"),
+        pytest.param({"sigma1": True}, id="sigma1=true"),
+        pytest.param({"clip_hi": True}, id="clip_hi=true"),
+        pytest.param({"clip_lo": True}, id="clip_lo=true"),
+        # out is a path or null: an fd number or a list is rejected up front
+        pytest.param({"out": 1}, id="out=1"),
+        pytest.param({"out": ["a"]}, id="out=list"),
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"

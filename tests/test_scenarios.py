@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from shiftro import scenarios
 from shiftro.lp import BoxSet, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream
-from shiftro.scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario,
-                               SimpleScenario, ToyScenario, build_knapsack_lp,
-                               build_shortest_path_lp, trace_path)
+from shiftro.scenarios import (SIMPLE_NOISE_VAR, TEST, TRAIN, GridScenario,
+                               KnapsackScenario, SimpleScenario, ToyScenario,
+                               build_knapsack_lp, build_shortest_path_lp, trace_path)
 
 
 class TestToyScenario:
@@ -75,7 +76,7 @@ class TestSimpleScenario:
         z = np.array([1.7, 0.0, -0.4])
         draws = scn.sample_costs_given(z, 10_000, RngStream(6))
         target = np.sign(z[0]) * np.sqrt(abs(z[0]))
-        se = np.sqrt(scn.noise_var * abs(z[0])) / 100.0
+        se = np.sqrt(SIMPLE_NOISE_VAR * abs(z[0])) / 100.0
         assert abs(draws.mean() - target) < 3 * se
 
     def test_zero_first_coordinate_gives_zero_cost(self):
@@ -149,14 +150,16 @@ class TestGridScenario:
 
 
 class TestKnapsackScenario:
-    def test_take_everything_when_budget_covers_all(self):
-        scn = KnapsackScenario(budget_fraction=1.1)
+    def test_take_everything_when_budget_covers_all(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "KNAPSACK_BUDGET_FRACTION", 1.1)
+        scn = KnapsackScenario()
         c = np.full(20, 2.0)
         sol = solve_lp(build_knapsack_lp(scn, BoxSet(c, c)))
         np.testing.assert_allclose(sol.x[:20], 1.0, atol=1e-9)
 
-    def test_zero_budget_takes_nothing(self):
-        scn = KnapsackScenario(budget_fraction=0.0)
+    def test_zero_budget_takes_nothing(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "KNAPSACK_BUDGET_FRACTION", 0.0)
+        scn = KnapsackScenario()
         c = np.full(20, 2.0)
         sol = solve_lp(build_knapsack_lp(scn, BoxSet(c, c)))
         np.testing.assert_allclose(sol.x[:20], 0.0, atol=1e-9)
