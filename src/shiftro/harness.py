@@ -108,8 +108,8 @@ class ExperimentConfig:
                              f"got ({self.clip_lo}, {self.clip_hi})")
         if self.format not in ("csv", "json", "svg"):
             raise ValueError(f"unknown format {self.format!r}")
-        if not (self.out is None or isinstance(self.out, str)):
-            raise ValueError(f"out must be a path or null, got {self.out!r}")
+        if not (self.out is None or isinstance(self.out, str) and self.out):
+            raise ValueError(f"out must be a nonempty path or null, got {self.out!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -294,9 +294,11 @@ class TestCli:
         pytest.param({"sigma1": True}, id="sigma1=true"),
         pytest.param({"clip_hi": True}, id="clip_hi=true"),
         pytest.param({"clip_lo": True}, id="clip_lo=true"),
-        # out is a path or null: an fd number or a list is rejected up front
+        # out is a nonempty path or null: an fd number, a list or "" (which
+        # would write report.csv in the working directory) is rejected up front
         pytest.param({"out": 1}, id="out=1"),
         pytest.param({"out": ["a"]}, id="out=list"),
+        pytest.param({"out": ""}, id="out=empty"),
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"

@@ -6,12 +6,14 @@ from scipy.optimize import minimize
 
 from shiftro import density_ratio, predictors
 from shiftro.density_ratio import fit_classifier_ratio
-from shiftro.harness import TEST, TRAIN, ExperimentConfig, make_scenario
+from shiftro.harness import (TEST, TRAIN, ExperimentConfig, calibrate_replicate,
+                             make_scenario)
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.predictors import (ADAM_STEP, HIDDEN, MAX_HALVINGS, SUBGRADIENT_STEP,
-                                WIDTH_FLOOR, Dataset, compute_residuals, fit_mean,
-                                fit_quantile, loss_and_grad, pinball, _fit_gradient,
-                                _fit_lbfgs, _mlp_init, _Workspace)
+                                WIDTH_FLOOR, Dataset, Predictor, compute_residuals,
+                                fit_mean, fit_quantile, loss_and_grad, pinball,
+                                _fit_gradient, _fit_lbfgs, _loss_and_grad_out,
+                                _mlp_init, _Workspace)
 
 CLIP = (ExperimentConfig.clip_lo, ExperimentConfig.clip_hi)   # default clip
 
@@ -178,6 +180,16 @@ class TestFitQuantile:
         narrow = h.predict([[0.01, 0.0]])[0, 0]
         assert wide > 2 * narrow
 
+    def test_mlp_constant_column_keeps_its_value(self):
+        # a column of zero sd is fitted in its own units (sd read as 1), not
+        # divided by zero; the smoothed loss of a point mass is least at
+        # b*logit(alpha) = 0.028 above it
+        g = RngStream(16).generator
+        Z = g.normal(size=(500, 2))
+        y = np.hstack([np.full((500, 1), 2.0), np.abs(g.normal(size=(500, 1)))])
+        h = fit_quantile(Z, y, 0.8, "mlp", 0)
+        np.testing.assert_allclose(h.predict(Z)[:, 0], 2.0, atol=0.1)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fit_quantile(np.zeros((5, 1)), np.ones((5, 1)), 1.2, "linear", 0)
@@ -186,12 +198,25 @@ class TestFitQuantile:
 
 
 class TestGradients:
+    def test_smooth_pinball_is_finite_far_from_the_kink(self):
+        # |u| / b near 5e7: softplus and sigmoid may neither overflow nor warn
+        out = np.array([[-1e6], [0.0], [1e6]])
+        Y = np.zeros((3, 1))
+        params = {"W": np.ones((1, 1)), "b": np.zeros(1)}     # a pass-through
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            loss, _ = loss_and_grad(params, out, Y, "smooth-pinball", 0.8)
+            _, G = _loss_and_grad_out("smooth-pinball", out, Y, 0.8, _Workspace())
+        alpha, b = 0.8, predictors.WIDTH_BANDWIDTH
+        assert loss == pytest.approx((1e6 * 0.2 + b * np.log(2.0) + 1e6 * 0.8) / 3)
+        np.testing.assert_allclose(G[:, 0], np.array([-alpha, 0.5 - alpha, 1 - alpha]) / 3)
+
     def test_mlp_gradients_match_finite_differences(self):
         g = RngStream(0).generator
         Z = g.normal(size=(40, 3))
         for kind, alpha, Y in (
             ("mse", 0.5, g.normal(size=(40, 2))),
             ("pinball", 0.8, np.abs(g.normal(size=(40, 2))) + 0.5),
+            ("smooth-pinball", 0.8, np.abs(g.normal(size=(40, 2))) + 0.5),
             ("logistic", 0.5, (g.random((40, 1)) < 0.5).astype(float)),
         ):
             k = Y.shape[1]
@@ -235,6 +260,12 @@ def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
         u = Y - out
         G = (-alpha * (u > 0) + (1.0 - alpha) * (u < 0)) / n
         loss = np.sum(pinball(Y - out, alpha)) / n
+    elif kind == "smooth-pinball":
+        b = predictors.WIDTH_BANDWIDTH
+        u = Y - out
+        softplus = np.logaddexp(0.0, -u / b)
+        G = (np.exp(-u / b - softplus) - alpha) / n
+        loss = np.sum(alpha * u + b * softplus) / n
     else:
         G = (1.0 / (1.0 + np.exp(-out)) - Y) / n
         loss = np.sum(np.logaddexp(0.0, out) - Y * out) / n
@@ -277,7 +308,7 @@ def _problem(n, d, k, kind, seed=0):
     Z = g.normal(size=(n, d))
     if kind == "logistic":
         Y = (g.random((n, k)) < 0.5).astype(float)
-    elif kind == "pinball":
+    elif kind in ("pinball", "smooth-pinball"):
         Y = np.abs(g.normal(size=(n, k)))
     else:
         Y = g.normal(size=(n, k))
@@ -293,14 +324,15 @@ class TestWorkspace:
     # 9000 rows x 16 hidden units is above 1 MB per hidden buffer, 50 below
     @pytest.mark.parametrize("n", [50, 9000])
     @pytest.mark.parametrize("kind,alpha", [("mse", 0.5), ("pinball", 0.8),
-                                            ("logistic", 0.5)])
+                                            ("smooth-pinball", 0.8), ("logistic", 0.5)])
     @pytest.mark.parametrize("arch", ["mlp", "linear"])
     def test_bit_equal_to_allocating_pass(self, n, kind, alpha, arch):
         self._check_bit_equal(n, 4, 1 if kind == "logistic" else 3, kind, alpha, arch)
 
     # the knapsack workload's shape: 10 covariates, 20 costs
     @pytest.mark.parametrize("n", [50, 9000])
-    @pytest.mark.parametrize("kind,alpha", [("mse", 0.5), ("pinball", 0.8)])
+    @pytest.mark.parametrize("kind,alpha", [("mse", 0.5), ("pinball", 0.8),
+                                            ("smooth-pinball", 0.8)])
     @pytest.mark.parametrize("arch", ["mlp", "linear"])
     def test_bit_equal_to_allocating_pass_knapsack_shape(self, n, kind, alpha, arch):
         self._check_bit_equal(n, 10, 20, kind, alpha, arch)
@@ -584,3 +616,38 @@ def test_linear_classifier_fit_reaches_bfgs_loss(scenario, d, seed):
     params["b"] = params["b"] + np.log(len(test_z) / len(train_z))
     loss, _ = loss_and_grad(params, X, y[:, None], "logistic")
     assert loss <= _bfgs_logistic_loss(X, y) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("scenario,d,seed", [("simple", 4, 100), ("knapsack", 10, 0),
+                                             ("shortest-path", None, 0)])
+def test_width_fit_beats_adam(scenario, d, seed):
+    # replicate 0's width data in the harness (|r| of the MLP mean on d1),
+    # scored by the exact pinball loss on 5000 held-out training-law rows:
+    # the L-BFGS fit of the smoothed loss ends below the 2000 Adam epochs
+    # on raw |r| that it replaced, from the same initial weights
+    cfg = ExperimentConfig(scenario=scenario, d=d, seed=seed)
+    scn = make_scenario(cfg)
+    train_f, d1, held_out = (scn.sample(n, RngStream(seed, tag), TRAIN)
+                             for n, tag in ((cfg.n_f, 1), (cfg.n_h, 2), (5000, 40)))
+    f = fit_mean(train_f, "mlp", seed)
+    Y, Y_held = (np.abs(compute_residuals(data, f)) for data in (d1, held_out))
+    alpha = cfg.alpha
+    init = _mlp_init(scn.d, HIDDEN, Y.shape[1], RngStream(seed, 202))
+    init["b2"] = np.quantile(Y, alpha, axis=0)
+    adam, _ = _fit_gradient(init, d1.Z, Y, "pinball", alpha, 2000)
+    loss, adam_loss = (
+        np.mean(pinball(Y_held - h.predict(held_out.Z), alpha))
+        for h in (fit_quantile(d1.Z, Y, alpha, "mlp", seed), Predictor(adam, WIDTH_FLOOR)))
+    assert loss < adam_loss
+
+
+def test_grid_width_stays_off_the_floor():
+    # the grid world's |r| spans orders of magnitude within a column; a
+    # width that ends at WIDTH_FLOOR on one of 40 edges scores its row near
+    # 1e8, and eta (1e7-1e8 without the sd floor) makes every box degenerate
+    cfg = ExperimentConfig(scenario="shortest-path", seed=0)
+    scn, f, h, eta = calibrate_replicate(cfg, 0)
+    d2 = scn.sample(cfg.n_cal, RngStream(cfg.seed, 3), TRAIN)
+    widths = h.predict(d2.Z)
+    assert np.all(widths > WIDTH_FLOOR)
+    assert eta < 10.0
