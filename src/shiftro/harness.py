@@ -282,8 +282,7 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
     var_vals = np.zeros(eval_data.n)
     for i in range(eval_data.n):
         z = eval_data.Z[i]
-        box = BoxSet(boxes.lower[i], boxes.upper[i])
-        x = _stage("decide", _decide, scenario, box, template)
+        x = _stage("decide", _decide, scenario, boxes.row(i), template)
         conservative[i] = bool(np.max(np.abs(x)) <= 1e-9)
         var_vals[i] = _stage("empirical-var", empirical_var, x, z, scenario, alpha,
                              config.n_mc_var, var_rng)

@@ -2,12 +2,19 @@
 box-robust counterpart of the min-max objective.
 
 The solver handles ``min c'x  s.t.  Ax = b,  lo <= x <= hi`` with any mix of
-finite and infinite bounds (free variables sit nonbasic at zero). Phase 1
-minimizes the sum of artificial infeasibilities; phase 2 locks artificials at
-zero and optimizes the true objective. Dantzig pricing runs first, switching
-to Bland's rule after ``5 * (n + m)`` pricing steps of a phase (bound flips
-count) to guarantee termination on degenerate instances (network LPs in
-particular).
+finite and infinite bounds (free variables sit nonbasic at zero). Every row
+gets an artificial column; a crash then starts basic, in place of a row's
+artificial, a column whose only nonzero lies in that row whenever the row's
+value for it lies within its bounds, so the starting basis stays diagonal.
+Phase 1 minimizes the sum of the artificial infeasibilities that are left, and
+is skipped when none is; phase 2 locks artificials at zero and optimizes the
+true objective. Dantzig pricing runs first, switching to Bland's rule after
+``5 * (n + m)`` pricing steps of a phase (bound flips count) to guarantee
+termination on degenerate instances (network LPs in particular).
+
+The box-robust counterpart writes its 2n bound rows so that the crash covers
+each of them, feasibly, at the solver's start point. The robust LPs of the
+toy, simple and knapsack worlds therefore start feasible and skip phase 1.
 """
 
 from __future__ import annotations
@@ -124,6 +131,19 @@ class BoxSet:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
+    def row(self, i) -> BoxSet:
+        """Row i of a block box (one box per row) as a box of its own.
+
+        The block's checks already cover each of its rows, so they do not run
+        again.
+        """
+        if self.lower.ndim != 2:
+            raise ValueError("row() needs a block box with one box per row")
+        box = object.__new__(BoxSet)
+        object.__setattr__(box, "lower", self.lower[i])
+        object.__setattr__(box, "upper", self.upper[i])
+        return box
+
 
 class _Tableau:
     """Dense bounded-variable simplex state: basis, B^{-1}A, basic values."""
@@ -224,17 +244,29 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
     raise RuntimeError("simplex failed to terminate within the pivot cap")
 
 
+def _start_point(lo, hi) -> np.ndarray:
+    """Each column's nonbasic start: its finite lower bound, else its finite
+    upper bound, else zero."""
+    return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+
+
 def solve_lp(p: LinearProgram) -> LpSolution:
-    """Solve the LP, classifying the result as optimal/infeasible/unbounded."""
+    """Solve the LP, classifying the result as optimal/infeasible/unbounded.
+
+    Columns start nonbasic at ``_start_point``. Row i's basic column is the
+    lowest-indexed column whose only nonzero is in row i and whose value
+    from row i lies within its bounds (row i's artificial is then locked at
+    zero), else row i's artificial at ``|b_i - A_i x0|``.
+    """
     m, n = p.m, p.n
     finite_lo, finite_hi = np.isfinite(p.lo), np.isfinite(p.hi)
     x_ext = np.zeros(n + m)
-    x_ext[:n] = np.where(finite_lo, p.lo, np.where(finite_hi, p.hi, 0.0))
+    x_ext[:n] = _start_point(p.lo, p.hi)
     state = np.full(n + m, _BASIC)
     state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
     resid = p.b - p.A @ x_ext[:n]
     signs = np.where(resid >= 0.0, 1.0, -1.0)
-    # columns [A, diag(signs)]: one artificial per row, basic at |resid|
+    # columns [A, diag(signs)]: one artificial per row
     A_ext = np.zeros((m, n + m))
     A_ext[:, :n] = p.A
     basis = np.arange(n, n + m)
@@ -243,17 +275,36 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     lo_ext[:n] = p.lo
     hi_ext = np.full(n + m, np.inf)
     hi_ext[:n] = p.hi
-    # B = diag(signs) is its own inverse, so the start needs no solve
-    tab = _Tableau(A_ext, p.b, lo_ext, hi_ext, state, basis,
-                   A_ext * signs[:, None], (p.b - A_ext @ x_ext) * signs)
 
-    phase1_cost = np.zeros(n + m)
-    phase1_cost[n:] = 1.0
+    # crash: singleton columns whose row puts them within their bounds
+    single = np.flatnonzero(np.count_nonzero(p.A, axis=0) == 1)
+    rows, k = np.nonzero(p.A[:, single])    # row-major: columns ascend per row
+    cols = single[k]
+    a = p.A[rows, cols]
+    value = (resid[rows] + a * x_ext[cols]) / a
+    fits = (p.lo[cols] <= value) & (value <= p.hi[cols])
+    rows, cols, a = rows[fits], cols[fits], a[fits]
+    first = np.diff(rows, prepend=-1) != 0  # the lowest column of each row
+    rows, cols, a = rows[first], cols[first], a[first]
+    basis[rows] = cols
+    state[cols] = _BASIC
+    x_ext[cols] = 0.0                       # basic columns read 0 in x_N
+    state[n + rows] = _AT_LO
+    hi_ext[n + rows] = 0.0
+    diag = signs.copy()
+    diag[rows] = a
+    # B = diag(diag), so the start needs no solve
+    tab = _Tableau(A_ext, p.b, lo_ext, hi_ext, state, basis,
+                   A_ext / diag[:, None], (p.b - A_ext @ x_ext) / diag)
+
     budget = 5 * (n + m)
-    status = _simplex_phase(tab, phase1_cost, budget)
-    art_level = float(phase1_cost[tab.basis] @ tab.xB)
-    if status != OPTIMAL or art_level > FEAS_TOL:
-        return LpSolution(np.full(n, np.nan), np.nan, INFEASIBLE)
+    if rows.size < m:   # some artificial is basic
+        phase1_cost = np.zeros(n + m)
+        phase1_cost[n:] = 1.0
+        status = _simplex_phase(tab, phase1_cost, budget)
+        art_level = float(phase1_cost[tab.basis] @ tab.xB)
+        if status != OPTIMAL or art_level > FEAS_TOL:
+            return LpSolution(np.full(n, np.nan), np.nan, INFEASIBLE)
 
     # Lock artificials at zero for phase 2 (basic ones may stay, degenerate).
     tab.lo[n:] = 0.0
@@ -288,26 +339,35 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     t_j with ``t_j >= u_j x_j`` and ``t_j >= l_j x_j`` and objective sum(t)
     are exact. Columns are ordered [x, t, slack_u, slack_l]; the optimal
     decision is the leading n entries.
+
+    Row m + j keeps for t_j the bound k_j that binds at x_j's start point x0_j
+    (``_start_point``): u_j where x0_j >= 0, else l_j. With o_j the other
+    bound, it reads ``t_j - k_j x_j - slack_k_j = 0``, and row m + n + j is the
+    other bound's row minus it, ``(k_j - o_j) x_j + slack_k_j - slack_o_j =
+    0``. The feasible set is the same as with the two bound rows as they
+    read, and t_j and slack_o_j are singletons that ``solve_lp``'s crash
+    starts basic, at k_j x0_j and at (k_j - o_j) x0_j >= 0.
     """
     n, m = p.n, p.m
     if box.dim != n:
         raise ValueError(f"box dimension {box.dim} != {n} variables")
     if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
         raise ValueError("robust reformulation requires a finite box")
-    # rows: [A 0 0 0] = b ; [-U I -I 0] = 0 ; [-L I 0 -I] = 0, where the
-    # negated diagonal blocks carry -0.0 off the diagonal, as negation gives
+    keep_u = _start_point(p.lo, p.hi) >= 0.0
+    kept = np.where(keep_u, box.upper, box.lower)
+    other = np.where(keep_u, box.lower, box.upper)
+    j = np.arange(n)
+    kept_slack = np.where(keep_u, 2 * n, 3 * n) + j
+    other_slack = np.where(keep_u, 3 * n, 2 * n) + j
     A = np.zeros((m + 2 * n, 4 * n))
     A[:m, :n] = p.A
-    blocks = A[m:].reshape(2, n, 4, n)  # [row block, row, column block, column]
-    blocks[:, :, 0] = -0.0
-    blocks[0, :, 2] = -0.0
-    blocks[1, :, 3] = -0.0
-    i = np.arange(n)
-    blocks[0, i, 0, i] = -box.upper
-    blocks[1, i, 0, i] = -box.lower
-    blocks[:, i, 1, i] = 1.0
-    blocks[0, i, 2, i] = -1.0
-    blocks[1, i, 3, i] = -1.0
+    t_row, diff_row = m + j, m + n + j
+    A[t_row, j] = -kept
+    A[t_row, n + j] = 1.0
+    A[t_row, kept_slack] = -1.0
+    A[diff_row, j] = kept - other
+    A[diff_row, kept_slack] = 1.0
+    A[diff_row, other_slack] = -1.0
     b = np.zeros(m + 2 * n)
     b[:m] = p.b
     c = np.zeros(4 * n)

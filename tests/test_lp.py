@@ -243,6 +243,69 @@ class TestRobustifyBox:
             assert robust.value >= plain.value - 1e-7
 
 
+def _two_row_robust(p, box):
+    """The robust LP with each bound's row as it reads, t_j - u_j x_j -
+    slack_u_j = 0 and t_j - l_j x_j - slack_l_j = 0: the layout the
+    differenced rows replace."""
+    n, m = p.n, p.m
+    A = np.zeros((m + 2 * n, 4 * n))
+    A[:m, :n] = p.A
+    for j in range(n):
+        A[m + j, [j, n + j, 2 * n + j]] = [-box.upper[j], 1.0, -1.0]
+        A[m + n + j, [j, n + j, 3 * n + j]] = [-box.lower[j], 1.0, -1.0]
+    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(2 * n)])
+    lo = np.concatenate([p.lo, np.full(n, -np.inf), np.zeros(2 * n)])
+    hi = np.concatenate([p.hi, np.full(3 * n, np.inf)])
+    return LinearProgram(c, A, np.concatenate([p.b, np.zeros(2 * n)]), lo, hi)
+
+
+class TestDifferencedRows:
+    @staticmethod
+    def _bounds(rng, start, n):
+        if start == "negative":
+            return rng.uniform(-2, -0.1, n), rng.uniform(0.1, 2, n)
+        if start == "zero":
+            return np.zeros(n), rng.uniform(0.5, 2, n)
+        if start == "positive":
+            lo = rng.uniform(0.1, 1, n)
+            return lo, lo + rng.uniform(0.5, 2, n)
+        if start == "upper-only":
+            return np.full(n, -np.inf), rng.uniform(-2, 2, n)
+        return np.full(n, -np.inf), np.full(n, np.inf)
+
+    @pytest.mark.parametrize("start", ["negative", "zero", "positive", "upper-only",
+                                       "free"])
+    def test_same_optimum_as_the_two_row_layout(self, start, monkeypatch):
+        # x's start point (lower bound, else upper, else 0) has the sign the
+        # case names (either sign for upper-only)
+        rng = np.random.default_rng(["negative", "zero", "positive", "upper-only",
+                                     "free"].index(start))
+        starts = _phase_starts(monkeypatch)
+        solved = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(0, n))
+            lo, hi = self._bounds(rng, start, n)
+            A = rng.normal(size=(m, n))
+            inside = np.clip(rng.normal(size=n), lo, hi)
+            p = LinearProgram(np.zeros(n), A, A @ inside, lo, hi)
+            box = BoxSet(*np.sort(rng.normal(size=(2, n)), axis=0))
+            starts.clear()
+            got = solve_lp(robustify_box(p, box))
+            # t_j and the other bound's slack start basic in the 2n robust rows
+            x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+            other_slack = np.where(x0 >= 0, 3 * n, 2 * n) + np.arange(n)
+            assert starts[0][m:] == list(range(n, 2 * n)) + other_slack.tolist()
+            want = solve_lp(_two_row_robust(p, box))
+            assert got.status == want.status
+            if want.status == OPTIMAL:
+                solved += 1
+                assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-9)
+                assert worst_case_value(got.x[:n], box) == pytest.approx(
+                    got.value, rel=1e-9, abs=1e-9)
+        assert solved >= 20
+
+
 class TestBoxSet:
     def test_contains(self):
         box = BoxSet([0.0, -1.0], [1.0, 1.0])
@@ -255,6 +318,18 @@ class TestBoxSet:
         with pytest.raises(ValueError):
             BoxSet([np.nan], [1.0])
 
+    def test_row_of_a_block_equals_a_fresh_box(self):
+        lower = np.array([[0.0, -1.0], [2.0, 3.0]])
+        block = BoxSet(lower, lower + [[1.0, 0.5], [0.0, 1e-13]])
+        for i in range(2):
+            row = block.row(i)
+            fresh = BoxSet(block.lower[i], block.upper[i])
+            assert isinstance(row, BoxSet) and row.dim == 2
+            assert _bits(row.lower) == _bits(fresh.lower)
+            assert _bits(row.upper) == _bits(fresh.upper)
+        with pytest.raises(ValueError, match="block box"):
+            BoxSet([0.0, 1.0], [1.0, 2.0]).row(0)
+
     def test_infinite_bounds_allowed_for_membership(self):
         box = BoxSet([-np.inf], [np.inf])
         assert box.contains([1e12])
@@ -264,21 +339,25 @@ class TestBoxSet:
 
 
 # The bounded simplex as it stood before its inner loop was rewritten with
-# fewer numpy calls per pivot: the reference the lean solver must match bit for
-# bit, in every LpSolution field and in the pivot count.
+# fewer numpy calls per pivot, with the crash start written out in loops: the
+# reference the lean solver must match bit for bit, in every LpSolution field
+# and in the pivot count.
 
 class _RefTableau:
-    def __init__(self, A, b, lo, hi, state, basis, values):
+    def __init__(self, A, b, lo, hi, state, basis):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
         self.state = state
         self.basis = basis
-        self.xB = values
-        self.T = None
         self.pivots = 0
-        self.refactor()
+        # the starting basis is diagonal: each row divides by its basic entry
+        diag = A[np.arange(A.shape[0]), basis]
+        x = np.array([self.nonbasic_value(j) for j in range(A.shape[1])])
+        x[basis] = 0.0
+        self.T = A / diag[:, None]
+        self.xB = (b - A @ x) / diag
 
     def nonbasic_value(self, j):
         s = self.state[j]
@@ -373,7 +452,24 @@ def _ref_initial_point(lo, hi):
     return x0, state
 
 
-def _ref_solve_lp(p):
+def _ref_crash(p, x0, resid):
+    """Row -> the lowest column whose only nonzero is in that row and whose
+    value from the row lies within its bounds."""
+    chosen = {}
+    for j in range(p.n):
+        rows = np.flatnonzero(p.A[:, j])
+        if rows.size != 1 or rows[0] in chosen:
+            continue
+        i = int(rows[0])
+        a = p.A[i, j]
+        value = (resid[i] + a * x0[j]) / a
+        if p.lo[j] <= value <= p.hi[j]:
+            chosen[i] = j
+    return chosen
+
+
+def _ref_solve_lp(p, crash=True):
+    """``crash=False`` starts from the all-artificial basis."""
     m, n = p.m, p.n
     x0, state0 = _ref_initial_point(p.lo, p.hi)
     resid = p.b - p.A @ x0
@@ -383,14 +479,20 @@ def _ref_solve_lp(p):
     hi_ext = np.concatenate([p.hi, np.full(m, np.inf)])
     state = np.concatenate([state0, np.full(m, _BASIC, dtype=int)])
     basis = np.arange(n, n + m)
-    tab = _RefTableau(A_ext, p.b, lo_ext, hi_ext, state, basis, np.abs(resid))
+    for i, j in (_ref_crash(p, x0, resid) if crash else {}).items():
+        basis[i] = j
+        state[j] = _BASIC
+        state[n + i] = _AT_LO
+        hi_ext[n + i] = 0.0
+    tab = _RefTableau(A_ext, p.b, lo_ext, hi_ext, state, basis)
 
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     budget = 5 * (n + m)
-    status = _ref_simplex_phase(tab, phase1_cost, budget)
-    art_level = float(phase1_cost[tab.basis] @ tab.xB)
-    if status != OPTIMAL or art_level > FEAS_TOL:
-        return LpSolution(np.full(n, np.nan), np.nan, INFEASIBLE)
+    if any(j >= n for j in basis):
+        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+        status = _ref_simplex_phase(tab, phase1_cost, budget)
+        art_level = float(phase1_cost[tab.basis] @ tab.xB)
+        if status != OPTIMAL or art_level > FEAS_TOL:
+            return LpSolution(np.full(n, np.nan), np.nan, INFEASIBLE)
 
     tab.lo[n:] = 0.0
     tab.hi[n:] = 0.0
@@ -429,11 +531,17 @@ def _assert_same_solution(got, want):
         assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
 
 
-def _random_mixed_lp(rng):
-    """Finite, half-infinite, free and fixed columns; b feasible or not."""
+def _random_mixed_lp(rng, density=None):
+    """Finite, half-infinite, free and fixed columns; b feasible or not.
+
+    With a ``density``, each entry of A is kept with that probability, so
+    that singleton columns turn up on LPs with several rows.
+    """
     n = int(rng.integers(1, 9))
     m = int(rng.integers(0, min(n, 5) + 1))
     A = rng.normal(size=(m, n))
+    if density is not None:
+        A[rng.random(A.shape) >= density] = 0.0
     lo = rng.uniform(-2, 0, n)
     hi = rng.uniform(0.1, 2, n)
     kind = rng.integers(0, 5, n)     # 0 finite, 1 lower only, 2 upper only, 3 free, 4 fixed
@@ -478,8 +586,37 @@ class TestAgainstReference:
             box = BoxSet(upper - rng.uniform(0, 1, scn.n_items), upper)
             p = build_knapsack_lp(scn, box)
             want = _ref_solve_lp(p)
+            assert want.status == OPTIMAL
+            _assert_same_solution(solve_lp(p), want)
+
+    def test_knapsack_sized_lps_without_singletons(self):
+        # the knapsack LPs above under a dense, diagonally dominant row mix:
+        # the same 84 columns, 43 rows and feasible set, but every column has
+        # a nonzero in every row, so the crash finds nothing and phase 1
+        # pivots from the all-artificial basis
+        scn = make_scenario(ExperimentConfig(scenario="knapsack", d=10, seed=0))
+        rng = np.random.default_rng(9)
+        for _ in range(12):
+            upper = rng.uniform(0.5, 4.0, scn.n_items)
+            box = BoxSet(upper - rng.uniform(0, 1, scn.n_items), upper)
+            base = build_knapsack_lp(scn, box)
+            mix = np.eye(base.m) + rng.uniform(0.0, 1.0, (base.m, base.m)) / base.m
+            p = LinearProgram(base.c, mix @ base.A, mix @ base.b, base.lo, base.hi)
+            assert p.A.shape == (43, 84)
+            assert np.count_nonzero(p.A, axis=0).min() > 1
+            want = _ref_solve_lp(p)
             assert want.status == OPTIMAL and want.iterations > 20
             _assert_same_solution(solve_lp(p), want)
+
+    def test_random_sparse_lps(self):
+        rng = np.random.default_rng(2025)
+        crashed = 0
+        for _ in range(600):
+            p = _random_mixed_lp(rng, density=0.5)
+            x0, _ = _ref_initial_point(p.lo, p.hi)
+            crashed += p.m > 1 and bool(_ref_crash(p, x0, p.b - p.A @ x0))
+            _assert_same_solution(solve_lp(p), _ref_solve_lp(p))
+        assert crashed >= 100
 
     def test_grid_flow_lps(self):
         scn = make_scenario(ExperimentConfig(scenario="shortest-path", seed=0))
@@ -519,6 +656,62 @@ class TestAgainstReference:
         want = _ref_solve_lp(p)
         assert want.iterations > 2 * _REFACTOR_EVERY
         _assert_same_solution(solve_lp(p), want)
-        # the reference also refactors on entry and before reading x
+        # the reference also refactors before reading x
         assert len(tableaus[lp._Tableau]) == 2
-        assert tableaus[lp._Tableau] == tableaus[_RefTableau][1:-1]
+        assert tableaus[lp._Tableau] == tableaus[_RefTableau][:-1]
+
+
+def _phase_starts(monkeypatch):
+    """The basis each simplex phase of ``solve_lp`` starts from, in order."""
+    starts = []
+    run = lp._simplex_phase
+
+    def recording(tab, cost, budget):
+        starts.append(tab.basis.tolist())
+        return run(tab, cost, budget)
+
+    monkeypatch.setattr(lp, "_simplex_phase", recording)
+    return starts
+
+
+class TestCrashStart:
+    # min -x0 - 2 x1  s.t.  x0 + x1 + s0 = 2,  x0 - x1 + s1 = b1,  all >= 0
+    A = [[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]]
+    c = [-1.0, -2.0, 0.0, 0.0]
+
+    def test_singletons_covering_every_row_skip_phase_one(self, monkeypatch):
+        starts = _phase_starts(monkeypatch)
+        s = solve_lp(LinearProgram(self.c, self.A, [2.0, 1.0], 0.0, np.inf))
+        assert starts == [[2, 3]]       # s0 and s1 basic, phase 2 only
+        assert s.status == OPTIMAL and s.value == pytest.approx(-4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b1, hi1", [(-1.0, np.inf), (1.0, 0.5)])
+    def test_singleton_outside_its_bounds_keeps_the_artificial(self, monkeypatch,
+                                                               b1, hi1):
+        # row 1 would put s1 at b1, below 0 or above hi1
+        starts = _phase_starts(monkeypatch)
+        p = LinearProgram(self.c, self.A, [2.0, b1], 0.0, [np.inf] * 3 + [hi1])
+        s = solve_lp(p)
+        assert starts[0] == [2, 5]      # row 1's artificial is column 4 + 1
+        assert len(starts) == 2
+        want = _ref_solve_lp(p, crash=False)
+        assert s.status == want.status == OPTIMAL
+        assert s.value == pytest.approx(want.value, abs=1e-12)
+
+    def test_lowest_fitting_column_of_a_row_starts_basic(self, monkeypatch):
+        # x0, x1 and x2 are all singletons of the one row; x0 would sit at
+        # 3 > 1, so x1 starts basic
+        starts = _phase_starts(monkeypatch)
+        solve_lp(LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [3.0], 0.0,
+                               [1.0, 5.0, 5.0]))
+        assert starts == [[1]]
+
+    @pytest.mark.parametrize("density", [None, 0.5])
+    def test_same_status_and_value_as_the_all_artificial_start(self, density):
+        rng = np.random.default_rng(2024)
+        for _ in range(1500):
+            p = _random_mixed_lp(rng, density)
+            got, want = solve_lp(p), _ref_solve_lp(p, crash=False)
+            assert got.status == want.status
+            if want.status == OPTIMAL:
+                assert abs(got.value - want.value) <= 1e-9 * (1 + abs(want.value))
