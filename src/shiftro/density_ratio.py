@@ -102,12 +102,19 @@ def fit_classifier_ratio(train_z, test_z, kind: str, seed: int, clip) -> Classif
 # kernels and kernel mean matching
 # ---------------------------------------------------------------------------
 
+def _sq_dists(X, Y) -> np.ndarray:
+    """||x - y||^2 for every row pair of X and Y, floored at zero."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    sx = np.sum(X * X, axis=1)[:, None]
+    sy = np.sum(Y * Y, axis=1)[None, :]
+    return np.maximum(sx + sy - 2.0 * X @ Y.T, 0.0)
+
+
 def median_bandwidth(X) -> float:
     """Median positive pairwise Euclidean distance (1.0 if all points tie)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    sq = np.sum(X * X, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0)
-    dist = np.sqrt(d2[np.triu_indices(X.shape[0], k=1)])
+    dist = np.sqrt(_sq_dists(X, X)[np.triu_indices(X.shape[0], k=1)])
     pos = dist[dist > 0]
     return float(np.median(pos)) if pos.size else 1.0
 
@@ -116,12 +123,7 @@ def gaussian_gram(X, Y, bandwidth: float) -> np.ndarray:
     """k(x, y) = exp(-||x - y||^2 / (2 * bandwidth^2))."""
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    sx = np.sum(X * X, axis=1)[:, None]
-    sy = np.sum(Y * Y, axis=1)[None, :]
-    d2 = np.maximum(sx + sy - 2.0 * X @ Y.T, 0.0)
-    return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+    return np.exp(-_sq_dists(X, Y) / (2.0 * bandwidth * bandwidth))
 
 
 def project_box_meanband(v, cap: float, mean_lo: float, mean_hi: float) -> np.ndarray:

@@ -86,6 +86,9 @@ class ExperimentConfig:
             # bool is an Integral, but JSON's true is not a count
             if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.seed + self.replicates - 1 > 2**64 - 1:  # RngStream's 64-bit key
+            raise ValueError(f"seed + replicates - 1 must be at most 2**64 - 1, got "
+                             f"{self.seed} + {self.replicates} - 1")
         if not (0 <= self.shift < math.inf):
             raise ValueError(f"shift must be finite and nonnegative, got {self.shift!r}")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
@@ -300,19 +303,16 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
         eta=eta)
 
 
-def _replicate_task(payload):
-    cfg_dict, rep = payload
-    return run_replicate(ExperimentConfig.from_dict(cfg_dict), rep)
-
-
 def run_pipeline(config: ExperimentConfig) -> Report:
     """All replicates, merged in replicate order (parallelism-invariant)."""
     reps = range(config.replicates)
     if config.workers > 1 and config.replicates > 1:
         from concurrent.futures import ProcessPoolExecutor
-        payloads = [(config.to_dict(), r) for r in reps]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_replicate_task, payloads))
+        from functools import partial
+        # a forking pool starts all its workers at the first submit
+        workers = min(config.workers, config.replicates)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(run_replicate, config), reps))
     else:
         rows = [run_replicate(config, r) for r in reps]
     return Report(tuple(rows), config)

@@ -19,7 +19,7 @@ toy, simple and knapsack worlds therefore start feasible and skip phase 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,8 +95,6 @@ class LpSolution:
     x: np.ndarray
     value: float
     status: str
-    duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     iterations: int = 0
 
 
@@ -318,18 +316,14 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(np.full(n, np.nan), -np.inf, UNBOUNDED)
 
-    B = A_ext[:, tab.basis]
     x_full = tab.nonbasic_x()
-    x_full[tab.basis] = np.linalg.solve(B, p.b - A_ext @ x_full)
+    x_full[tab.basis] = np.linalg.solve(A_ext[:, tab.basis], p.b - A_ext @ x_full)
     # Snap solver noise back into the bounds (no lower bound is +inf and no
     # upper bound -inf, so they clip as they stand).
     x = x_full[:n].clip(p.lo, p.hi)
     if np.abs(p.A @ x - p.b).max(initial=0.0) > FEAS_TOL:
         raise RuntimeError("simplex returned a primal-infeasible point")
-    duals = np.linalg.solve(B.T, phase2_cost[tab.basis])
-    reduced = p.c - p.A.T @ duals
-    return LpSolution(x, float(p.c @ x), OPTIMAL, duals=duals,
-                      reduced_costs=reduced, iterations=tab.pivots)
+    return LpSolution(x, float(p.c @ x), OPTIMAL, tab.pivots)
 
 
 def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
@@ -383,8 +377,7 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
 def solve_robust_box(p: LinearProgram, box: BoxSet) -> LpSolution:
     """Solve the box-robust problem, reporting the original-variable slice."""
     sol = solve_lp(robustify_box(p, box))
-    return LpSolution(sol.x[: p.n], sol.value, sol.status,
-                      iterations=sol.iterations)
+    return replace(sol, x=sol.x[:p.n])
 
 
 def worst_case_value(x, box: BoxSet) -> float:

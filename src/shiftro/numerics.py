@@ -18,7 +18,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-_SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
@@ -27,7 +26,7 @@ def normal_cdf(x) -> float:
     xf = float(x)
     if not math.isfinite(xf):
         raise ValueError("normal_cdf requires finite input")
-    return 0.5 * (1.0 + math.erf(xf / _SQRT2))
+    return _STD_NORMAL.cdf(xf)
 
 
 def normal_quantile(p) -> float:

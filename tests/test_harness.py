@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -57,6 +58,14 @@ class TestConfig:
             for world in ("simple", "shortest-path", "knapsack"):
                 with pytest.raises(ValueError, match="toy"):
                     ExperimentConfig(scenario=world, **{field: value})
+
+    def test_replicate_seeds_fit_the_64_bit_stream_key(self):
+        top = 2**64 - 1
+        assert run_replicate(ExperimentConfig(seed=top, **FAST_TOY)).seed == top
+        ExperimentConfig(seed=top - 1, replicates=2)
+        for seed, replicates in ((top + 1, 1), (top, 2)):
+            with pytest.raises(ValueError, match=r"2\*\*64"):
+                ExperimentConfig(seed=seed, replicates=replicates)
 
     def test_scenario_dimension_defaults(self):
         from shiftro.harness import make_scenario
@@ -127,6 +136,32 @@ class TestPipeline:
         par = run_pipeline(ExperimentConfig(seed=9, replicates=2, workers=2, **FAST_TOY))
         for a, b in zip(seq.rows, par.rows):
             assert a == b
+
+    def test_pool_starts_no_more_workers_than_replicates(self, monkeypatch):
+        # a forking pool starts all max_workers processes at its first submit;
+        # this stand-in starts none, maps in this process, and checks that the
+        # task pickles as a real pool would need
+        import concurrent.futures
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(pickle.loads(pickle.dumps(fn)), items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = ExperimentConfig(seed=9, replicates=2, workers=64, **FAST_TOY)
+        rows = run_pipeline(cfg).rows
+        assert started == [2]
+        assert rows == run_pipeline(replace(cfg, workers=1)).rows
 
     def test_stage_attribution(self):
         def boom():
@@ -299,6 +334,8 @@ class TestCli:
         pytest.param({"out": 1}, id="out=1"),
         pytest.param({"out": ["a"]}, id="out=list"),
         pytest.param({"out": ""}, id="out=empty"),
+        # a seed keys a 64-bit stream
+        pytest.param({"seed": 2**64}, id="seed=2**64"),
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"
@@ -372,6 +409,13 @@ class TestCli:
 
     def test_negative_seed_flag_is_config_error(self):
         res = self._run("toy", "--seed", "-1")
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr
+
+    def test_seed_past_the_stream_key_is_config_error(self):
+        # replicate 1's seed would pass the 64-bit stream key; this used to
+        # fail at run time (exit 2), after replicate 0 was fitted
+        res = self._run("toy", "--seed", str(2**64 - 1), "--replicates", "2")
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
 
