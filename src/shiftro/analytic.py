@@ -69,18 +69,17 @@ def prob_conservative(scn, alpha: float, method: str = OODRO) -> float:
     s = scn.shift
     if method == OODRO:
         # identical closed form for both shift kinds
-        drift = s / scn.sigma1
-        return float(normal_cdf(ratio * q - drift) - normal_cdf(-ratio * q - drift))
-    if method == WSBALL:
-        r_over = worst_case_radius(scn) / scn.sigma1
+        half, drift = ratio * q, s / scn.sigma1
+    elif method == WSBALL:
+        half = ratio * q + worst_case_radius(scn) / scn.sigma1
         if scn.kind == "covariate":
             drift = s / scn.sigma1
         else:
-            total = scn.sigma1 ** 2 + scn.sigma2 ** 2
-            drift = scn.sigma1 * s / total
-        return float(normal_cdf(ratio * q + r_over - drift)
-                     - normal_cdf(-ratio * q - r_over - drift))
-    raise ValueError(f"unknown method {method!r}")
+            drift = scn.sigma1 * s / (scn.sigma1 ** 2 + scn.sigma2 ** 2)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    # P(|drift + N(0, 1)| < half)
+    return float(normal_cdf(half - drift) - normal_cdf(-half - drift))
 
 
 def tv_distance(p, q) -> float:

@@ -22,7 +22,9 @@ KMM_ITERATIONS = 800    # projected-gradient steps of either KMM fit
 
 
 class RatioModel:
-    """Base density-ratio model; subclasses provide _raw(C, Z)."""
+    """The trivial ratio w == 1, blind to the shift; other kinds override _raw(C, Z)."""
+
+    fit_indices = None  # rows of the fit sample where the weights exist; None: everywhere
 
     def __init__(self, w_lo: float, w_hi: float):
         if not (0.0 < w_lo <= w_hi):
@@ -31,7 +33,7 @@ class RatioModel:
         self.w_hi = float(w_hi)
 
     def _raw(self, C, Z):
-        raise NotImplementedError
+        return np.ones(Z.shape[0])
 
     def weights(self, C, Z) -> np.ndarray:
         """Clipped weights, one per row of Z (C may be None for covariate kinds).
@@ -45,15 +47,8 @@ class RatioModel:
         return np.clip(raw, self.w_lo, self.w_hi)
 
 
-class TrivialRatio(RatioModel):
-    """w == 1 everywhere: ignores the distribution shift."""
-
-    def _raw(self, C, Z):
-        return np.ones(Z.shape[0])
-
-
-def trivial_ratio(w_lo: float, w_hi: float) -> TrivialRatio:
-    return TrivialRatio(w_lo, w_hi)
+def trivial_ratio(w_lo: float, w_hi: float) -> RatioModel:
+    return RatioModel(w_lo, w_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,6 @@ class KmmRatio(RatioModel):
 
 
 def _subsample(X, rng: RngStream):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] <= KMM_MAX_SAMPLES:
         return X, np.arange(X.shape[0])
     idx = np.sort(rng.generator.choice(X.shape[0], size=KMM_MAX_SAMPLES, replace=False))
@@ -200,7 +194,7 @@ def _kmm_ratio(quad, lin, fit_Z, fit_C, fit_indices, clip) -> KmmRatio:
     slack = (np.sqrt(n) - 1.0) / np.sqrt(n)
     lo, hi = 1.0 - slack, 1.0 + slack
     step = 1.0 / max(float(np.linalg.eigvalsh(quad)[-1]), 1e-12)
-    w = project_box_meanband(np.ones(n), KMM_CAP, lo, hi)
+    w = np.ones(n)  # already in the capped mean band
     objs = []
     for _ in range(KMM_ITERATIONS):
         qw = quad @ w
@@ -210,13 +204,10 @@ def _kmm_ratio(quad, lin, fit_Z, fit_C, fit_indices, clip) -> KmmRatio:
     return KmmRatio(fit_Z, fit_C, w, *clip, np.array(objs), fit_indices)
 
 
-def fit_kmm_covariate(train_z, test_z, clip, rng: RngStream) -> KmmRatio:
-    """Match kernel mean embeddings of the weighted train covariates to the
-    test covariates: minimize (1/N^2) w'Kw - (2/(NM)) w'K_te 1 over the
-    capped mean band of _kmm_ratio, with a Gaussian kernel of median
-    bandwidth. Each side is first cut to KMM_MAX_SAMPLES rows drawn from
-    ``rng``."""
-    Ztr = np.atleast_2d(np.asarray(train_z, dtype=float))
+def _fit_kmm(Z, C, test_z, clip, rng: RngStream) -> KmmRatio:
+    """Both KMM kinds, the label kind when train costs C are given: subsample
+    each side (train first), then median-bandwidth Gram matrices of covariates."""
+    Ztr = np.atleast_2d(np.asarray(Z, dtype=float))
     Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
     if Ztr.shape[0] < 2 or Zte.shape[0] < 2:
         raise ValueError("KMM requires at least two samples on each side")
@@ -224,9 +215,24 @@ def fit_kmm_covariate(train_z, test_z, clip, rng: RngStream) -> KmmRatio:
     Zte, _ = _subsample(Zte, rng)
     n, m = Ztr.shape[0], Zte.shape[0]
     bz = median_bandwidth(Ztr)
-    quad = 2.0 * gaussian_gram(Ztr, Ztr, bz) / (n * n)
-    lin = 2.0 * gaussian_gram(Ztr, Zte, bz).sum(axis=1) / (n * m)
-    return _kmm_ratio(quad, lin, Ztr, None, idx, clip)
+    K = gaussian_gram(Ztr, Ztr, bz)
+    kte = gaussian_gram(Ztr, Zte, bz).sum(axis=1)
+    if C is None:
+        return _kmm_ratio(2.0 * K / (n * n), 2.0 * kte / (n * m), Ztr, None, idx, clip)
+    Ctr = C[idx]
+    H = gaussian_gram(Ctr, Ctr, median_bandwidth(Ctr))
+    B = solve_spd(H + KMM_RIDGE * n * np.eye(n), H)
+    quad = 2.0 * (B.T @ K @ B) / (n * n)
+    return _kmm_ratio(0.5 * (quad + quad.T), 2.0 * (B.T @ kte) / (n * m), Ztr, Ctr, idx, clip)
+
+
+def fit_kmm_covariate(train_z, test_z, clip, rng: RngStream) -> KmmRatio:
+    """Match kernel mean embeddings of the weighted train covariates to the
+    test covariates: minimize (1/N^2) w'Kw - (2/(NM)) w'K_te 1 over the
+    capped mean band of _kmm_ratio, with a Gaussian kernel of median
+    bandwidth. Each side is first cut to KMM_MAX_SAMPLES rows drawn from
+    ``rng``."""
+    return _fit_kmm(train_z, None, test_z, clip, rng)
 
 
 def fit_kmm_label(train: Dataset, test_z, clip, rng: RngStream) -> KmmRatio:
@@ -238,19 +244,7 @@ def fit_kmm_label(train: Dataset, test_z, clip, rng: RngStream) -> KmmRatio:
     (1/N^2) w'B'KBw - (2/(NM)) w'B'K_te 1 + const; minimized over the same
     capped mean band as the covariate variant, after the same subsampling.
     """
-    Zte = np.atleast_2d(np.asarray(test_z, dtype=float))
-    if train.n < 2 or Zte.shape[0] < 2:
-        raise ValueError("KMM requires at least two samples on each side")
-    Ztr, idx = _subsample(train.Z, rng)
-    Ctr = train.C[idx]
-    Zte, _ = _subsample(Zte, rng)
-    n, m = Ztr.shape[0], Zte.shape[0]
-    bz = median_bandwidth(Ztr)
-    H = gaussian_gram(Ctr, Ctr, median_bandwidth(Ctr))
-    B = solve_spd(H + KMM_RIDGE * n * np.eye(n), H)
-    quad = 2.0 * (B.T @ gaussian_gram(Ztr, Ztr, bz) @ B) / (n * n)
-    lin = 2.0 * (B.T @ gaussian_gram(Ztr, Zte, bz).sum(axis=1)) / (n * m)
-    return _kmm_ratio(0.5 * (quad + quad.T), lin, Ztr, Ctr, idx, clip)
+    return _fit_kmm(train.Z, train.C, test_z, clip, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -196,18 +196,15 @@ def _fit_ratio(config, scenario, train_z, d2: Dataset, test_z, seed):
     kind = config.ratio_kind
     clip = (config.clip_lo, config.clip_hi)
     if kind == "trivial":
-        return trivial_ratio(*clip), None
+        return trivial_ratio(*clip)
     if kind in ("cls-linear", "cls-mlp"):
-        return fit_classifier_ratio(train_z, test_z, kind.removeprefix("cls-"), seed,
-                                    clip), None
+        return fit_classifier_ratio(train_z, test_z, kind.removeprefix("cls-"), seed, clip)
     if kind == "kmm-cov":
-        model = fit_kmm_covariate(d2.Z, test_z, clip, RngStream(seed, 31))
-        return model, model.fit_indices
+        return fit_kmm_covariate(d2.Z, test_z, clip, RngStream(seed, 31))
     if kind == "kmm-label":
-        model = fit_kmm_label(d2, test_z, clip, RngStream(seed, 32))
-        return model, model.fit_indices
+        return fit_kmm_label(d2, test_z, clip, RngStream(seed, 32))
     if kind == "oracle":
-        return GaussianOracleRatio(scenario, *clip), None
+        return GaussianOracleRatio(scenario, *clip)
     raise ValueError(kind)
 
 
@@ -257,9 +254,10 @@ def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
                          config.quantile_kind, seed)
 
     train_z = np.vstack([train_f.Z, d1.Z, d2.Z])
-    ratio_model, cal_idx = _stage("fit-ratio", _fit_ratio, config, scenario,
-                                  train_z, d2, test_cov.Z, seed)
-    d2_cal = d2 if cal_idx is None else Dataset(d2.Z[cal_idx], d2.C[cal_idx])
+    ratio_model = _stage("fit-ratio", _fit_ratio, config, scenario, train_z, d2, test_cov.Z,
+                         seed)
+    rows = ratio_model.fit_indices
+    d2_cal = d2 if rows is None else Dataset(d2.Z[rows], d2.C[rows])
 
     scores = _stage("calib-scores", calib_scores, d2_cal, mean_model, quant_model,
                     ratio_model)

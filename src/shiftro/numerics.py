@@ -63,9 +63,6 @@ def solve_spd(mat, rhs):
     return np.linalg.solve(L.T, np.linalg.solve(L, r))
 
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 @dataclass
 class RngStream:
     """Counter-based random stream keyed by (seed, index).
@@ -80,10 +77,10 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.seed < 0 or self.index < 0:
-            raise ValueError("seed and index must be nonnegative")
-        key = np.array([np.uint64(self.seed) & _U64, np.uint64(self.index) & _U64],
-                       dtype=np.uint64)
+        for name, value in (("seed", self.seed), ("index", self.index)):
+            if not 0 <= value < 2 ** 64:
+                raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {value}")
+        key = np.array([self.seed, self.index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     @property

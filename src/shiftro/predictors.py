@@ -175,7 +175,10 @@ def _loss_and_grad_out(kind, out, Y, alpha, work):
         np.multiply(Y, out, out=t2)
         loss = np.sum(np.subtract(t1, t2, out=t1)) / n
         np.negative(out, out=G)
-        np.exp(G, out=G)
+        # a logit below about -709 overflows exp to inf, and 1/(1 + inf) is
+        # sigmoid's exact limit 0, so the overflow is no error
+        with np.errstate(over="ignore"):
+            np.exp(G, out=G)
         np.add(1.0, G, out=G)
         np.divide(1.0, G, out=G)     # p = sigmoid(out)
         np.subtract(G, Y, out=G)

@@ -299,7 +299,8 @@ class TestKernels:
         assert gaussian_gram(Z, Zte, bz).shape == (20, 15)
 
 
-@pytest.mark.parametrize("kind", ["trivial", "oracle", "cls-linear", "cls-mlp", "kmm-cov"])
+@pytest.mark.parametrize("kind", ["trivial", "oracle", "cls-linear", "cls-mlp", "kmm-cov",
+                                  "kmm-label"])
 def test_one_dim_covariate_vector_is_a_column(kind, monkeypatch):
     # a d=1 world's covariates as a flat vector: one weight per entry
     g = RngStream(40)
@@ -307,15 +308,26 @@ def test_one_dim_covariate_vector_is_a_column(kind, monkeypatch):
     te = g.gaussian(0.5, 1.0, size=(300, 1))
     monkeypatch.setattr(density_ratio, "KMM_ITERATIONS", 50)
     monkeypatch.setattr(density_ratio, "CLASSIFIER_ITERATIONS", 10)
+    monkeypatch.setattr(density_ratio, "KMM_MAX_SAMPLES", 120)   # subsample the 300
     if kind == "trivial":
         model = trivial_ratio(*CLIP)
     elif kind == "oracle":
         model = GaussianOracleRatio(ToyScenario(1.0, 1.0, 0.5, "covariate"), *CLIP)
     elif kind == "kmm-cov":
         model = fit_kmm_covariate(tr, te, CLIP, RngStream(0))
+    elif kind == "kmm-label":
+        costs = tr + g.gaussian(0.0, 0.25, size=(300, 1))
+        model = fit_kmm_label(Dataset(tr, costs), te, CLIP, RngStream(0))
     else:
         model = fit_classifier_ratio(tr, te, kind[4:], 0, CLIP)
-    z = model.fit_Z[:, 0] if kind == "kmm-cov" else np.linspace(-1.0, 1.0, 5)
+    if kind.startswith("kmm"):
+        # KMM weights exist only at the fit rows, which name their source rows
+        assert model.fit_indices.shape == (120,)
+        np.testing.assert_array_equal(model.fit_Z, tr[model.fit_indices])
+        z = model.fit_Z[:, 0]
+    else:
+        assert model.fit_indices is None     # weights exist everywhere
+        z = np.linspace(-1.0, 1.0, 5)
     w = model.weights(None, z)
     assert w.shape == z.shape
     np.testing.assert_array_equal(w, model.weights(None, z[:, None]))

@@ -15,8 +15,9 @@ import pytest
 import shiftro
 from shiftro.cli import _config_from_args, build_parser
 from shiftro.harness import (CSV_COLUMNS, ExperimentConfig, PipelineError, Report,
-                             ReportRow, conservatism_curves_svg, emit_report,
-                             empirical_var, run_pipeline, run_replicate, _stage)
+                             ReportRow, calibrate_replicate, conservatism_curves_svg,
+                             emit_report, empirical_var, run_pipeline, run_replicate,
+                             _stage)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.scenarios import GridScenario, ToyScenario, build_shortest_path_lp
@@ -168,6 +169,15 @@ class TestPipeline:
             raise RuntimeError("kaput")
         with pytest.raises(PipelineError, match="stage 'fit-ratio'"):
             _stage("fit-ratio", boom)
+
+    def test_small_pool_classifier_fit_raises_no_overflow(self):
+        # an L-BFGS trial point of the knapsack MLP classifier reaches logits
+        # below -709, where exp(-logit) overflows on its way to sigmoid's 0;
+        # the run must not fail under the RuntimeWarning filter
+        cfg = ExperimentConfig(scenario="knapsack", n_f=200, n_h=200, n_cal=200,
+                               m_ratio=200, n_eval=20)
+        eta = calibrate_replicate(cfg, 0)[3]
+        assert np.isfinite(eta) and eta >= 0.0
 
     def test_kmm_restricts_calibration_to_fit_subsample(self):
         cfg = ExperimentConfig(scenario="toy", alpha=0.8, shift=0.3, sigma2=0.5,

@@ -150,3 +150,11 @@ class TestRngStream:
             rng.bernoulli(1.5)
         with pytest.raises(ValueError):
             RngStream(-1)
+
+    def test_seed_and_index_span_64_bits(self):
+        top = 2 ** 64 - 1
+        assert np.isfinite(RngStream(top, top).gaussian(0.0, 1.0))
+        with pytest.raises(ValueError, match="seed .*18446744073709551616"):
+            RngStream(2 ** 64)
+        with pytest.raises(ValueError, match="index .*18446744073709551616"):
+            RngStream(0, 2 ** 64)
