@@ -15,11 +15,19 @@ termination on degenerate instances (network LPs in particular).
 The box-robust counterpart writes its 2n bound rows so that the crash covers
 each of them, feasibly, at the solver's start point. The robust LPs of the
 toy, simple and knapsack worlds therefore start feasible and skip phase 1.
+Everything of a robust LP but its 2n box entries depends on the template
+alone, so a template builds that layout once, with read-only arrays, and
+each box copies its skeleton A and writes those entries. These LPs are
+small, so numpy call overhead, not arithmetic, sets their cost: with one
+BLAS thread on a 2-vCPU VM, a toy robust LP (4 variables, 2 rows) on a
+replicate's own boxes takes about 0.04 ms to build and 0.12 to 0.15 ms to
+solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +50,13 @@ _BASIC = 3
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c'x  s.t.  A x = b,  lo <= x <= hi (componentwise, +-inf allowed)."""
+    """min c'x  s.t.  A x = b,  lo <= x <= hi (componentwise, +-inf allowed).
+
+    The stored arrays are read-only: c, A and b are the caller's own arrays
+    only when no one can write into them (read-only, owning their data), else
+    read-only copies. So the LP, and the robust layout it caches, cannot
+    change after construction.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -75,9 +89,10 @@ class LinearProgram:
                              "leaves no value for its variable")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        lo.flags.writeable = hi.flags.writeable = False   # np.full's own arrays
+        object.__setattr__(self, "c", _frozen(c))
+        object.__setattr__(self, "A", _frozen(A))
+        object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -88,6 +103,50 @@ class LinearProgram:
     @property
     def m(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def _robust_layout(self) -> tuple:
+        """``(keep_u, box_at, c, A, b, lo, hi)``: what ``robustify_box`` builds
+        from this LP alone, built on first use and kept. Row m + j keeps u_j
+        where keep_u_j, else l_j, and each box writes its 2n entries, at
+        ``box_at``, into its own copy of the skeleton A. The arrays are
+        read-only, since every robust LP of this template shares c, b and the
+        bounds."""
+        n, m = self.n, self.m
+        finite_lo, finite_hi = np.isfinite(self.lo), np.isfinite(self.hi)
+        keep_u = _start_point(self.lo, self.hi, finite_lo, finite_hi) >= 0.0
+        j = np.arange(n)
+        kept_slack = np.where(keep_u, 2 * n, 3 * n) + j
+        other_slack = np.where(keep_u, 3 * n, 2 * n) + j
+        A = np.zeros((m + 2 * n, 4 * n))
+        A[:m, :n] = self.A
+        t_row, diff_row = m + j, m + n + j
+        A[t_row, n + j] = 1.0
+        A[t_row, kept_slack] = -1.0
+        A[diff_row, kept_slack] = 1.0
+        A[diff_row, other_slack] = -1.0
+        box_at = (np.concatenate([t_row, diff_row]), np.concatenate([j, j]))
+        b = np.zeros(m + 2 * n)
+        b[:m] = self.b
+        c = np.zeros(4 * n)
+        c[n:2 * n] = 1.0
+        lo = np.zeros(4 * n)
+        lo[:n] = self.lo
+        lo[n:2 * n] = -np.inf
+        hi = np.full(4 * n, np.inf)
+        hi[:n] = self.hi
+        for a in (keep_u, *box_at, c, A, b, lo, hi):
+            a.flags.writeable = False
+        return keep_u, box_at, c, A, b, lo, hi
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a when no one can write into it, else a read-only copy."""
+    flags = a.flags
+    if flags.writeable or not flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -242,10 +301,10 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
     raise RuntimeError("simplex failed to terminate within the pivot cap")
 
 
-def _start_point(lo, hi) -> np.ndarray:
+def _start_point(lo, hi, finite_lo, finite_hi) -> np.ndarray:
     """Each column's nonbasic start: its finite lower bound, else its finite
     upper bound, else zero."""
-    return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    return np.where(finite_lo, lo, np.where(finite_hi, hi, 0.0))
 
 
 def solve_lp(p: LinearProgram) -> LpSolution:
@@ -259,7 +318,7 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     m, n = p.m, p.n
     finite_lo, finite_hi = np.isfinite(p.lo), np.isfinite(p.hi)
     x_ext = np.zeros(n + m)
-    x_ext[:n] = _start_point(p.lo, p.hi)
+    x_ext[:n] = _start_point(p.lo, p.hi, finite_lo, finite_hi)
     state = np.full(n + m, _BASIC)
     state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
     resid = p.b - p.A @ x_ext[:n]
@@ -275,14 +334,15 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     hi_ext[:n] = p.hi
 
     # crash: singleton columns whose row puts them within their bounds
-    single = np.flatnonzero(np.count_nonzero(p.A, axis=0) == 1)
+    single = ((p.A != 0).sum(axis=0) == 1).nonzero()[0]
     rows, k = np.nonzero(p.A[:, single])    # row-major: columns ascend per row
     cols = single[k]
     a = p.A[rows, cols]
     value = (resid[rows] + a * x_ext[cols]) / a
     fits = (p.lo[cols] <= value) & (value <= p.hi[cols])
     rows, cols, a = rows[fits], cols[fits], a[fits]
-    first = np.diff(rows, prepend=-1) != 0  # the lowest column of each row
+    first = np.ones(rows.size, dtype=bool)  # the lowest column of each row
+    first[1:] = rows[1:] != rows[:-1]
     rows, cols, a = rows[first], cols[first], a[first]
     basis[rows] = cols
     state[cols] = _BASIC
@@ -341,43 +401,28 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     0``. The feasible set is the same as with the two bound rows as they
     read, and t_j and slack_o_j are singletons that ``solve_lp``'s crash
     starts basic, at k_j x0_j and at (k_j - o_j) x0_j >= 0.
+
+    Everything but the 2n entries -k_j and k_j - o_j depends on p alone, so
+    p builds it once (``LinearProgram._robust_layout``), and each box copies
+    the skeleton A and writes those entries.
     """
-    n, m = p.n, p.m
+    n = p.n
     if box.dim != n:
         raise ValueError(f"box dimension {box.dim} != {n} variables")
     if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
         raise ValueError("robust reformulation requires a finite box")
-    keep_u = _start_point(p.lo, p.hi) >= 0.0
+    keep_u, box_at, c, A, b, lo, hi = p._robust_layout
     kept = np.where(keep_u, box.upper, box.lower)
-    other = np.where(keep_u, box.lower, box.upper)
-    j = np.arange(n)
-    kept_slack = np.where(keep_u, 2 * n, 3 * n) + j
-    other_slack = np.where(keep_u, 3 * n, 2 * n) + j
-    A = np.zeros((m + 2 * n, 4 * n))
-    A[:m, :n] = p.A
-    t_row, diff_row = m + j, m + n + j
-    A[t_row, j] = -kept
-    A[t_row, n + j] = 1.0
-    A[t_row, kept_slack] = -1.0
-    A[diff_row, j] = kept - other
-    A[diff_row, kept_slack] = 1.0
-    A[diff_row, other_slack] = -1.0
-    b = np.zeros(m + 2 * n)
-    b[:m] = p.b
-    c = np.zeros(4 * n)
-    c[n:2 * n] = 1.0
-    lo = np.zeros(4 * n)
-    lo[:n] = p.lo
-    lo[n:2 * n] = -np.inf
-    hi = np.full(4 * n, np.inf)
-    hi[:n] = p.hi
+    A = A.copy()
+    A[box_at] = np.concatenate([-kept, kept - np.where(keep_u, box.lower, box.upper)])
+    A.flags.writeable = False   # so that LinearProgram keeps it uncopied
     return LinearProgram(c, A, b, lo, hi)
 
 
 def solve_robust_box(p: LinearProgram, box: BoxSet) -> LpSolution:
     """Solve the box-robust problem, reporting the original-variable slice."""
     sol = solve_lp(robustify_box(p, box))
-    return replace(sol, x=sol.x[:p.n])
+    return LpSolution(sol.x[:p.n], sol.value, sol.status, sol.iterations)
 
 
 def worst_case_value(x, box: BoxSet) -> float:

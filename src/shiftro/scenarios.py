@@ -17,6 +17,7 @@ objective coefficients (``lp_costs``). Generators are deterministic given
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -281,7 +282,12 @@ class KnapsackScenario(_GaussianCovariates):
 
     def decision_lp(self) -> LinearProgram:
         """min 0'x s.t. p'x + slack = B, 0 <= x <= 1, slack >= 0 (the
-        objective is filled by the robust layer)."""
+        objective is filled by the robust layer). One LP per scenario, so
+        that each row's robust LP starts from its cached layout."""
+        return self._decision_lp
+
+    @cached_property
+    def _decision_lp(self) -> LinearProgram:
         k = self.n_items
         A = np.hstack([self.prices[None, :], np.ones((1, 1))])
         return LinearProgram(c=np.zeros(k + 1), A=A, b=[self.budget],

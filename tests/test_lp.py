@@ -95,6 +95,27 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             LinearProgram([1], [[1]], [1], [2], [1])
 
+    def test_arrays_are_read_only_and_not_the_callers(self):
+        c, A, b = np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+        p = LinearProgram(c, A, b, [0.0, 0.0], [1.0, 1.0])
+        for name in ("c", "A", "b", "lo", "hi"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name).flat[0] = 5.0
+        # the caller's writeable arrays were copied, so writing them later
+        # leaves the LP (and its cached robust layout) as built
+        layout_A = p._robust_layout[3]
+        c[0], A[0, 0], b[0] = 5.0, 5.0, 5.0
+        assert p.c[0] == 1.0 and p.A[0, 0] == 1.0 and p.b[0] == 1.0
+        assert layout_A[0, 0] == 1.0
+        assert _bits(robustify_box(p, BoxSet([0.0, 0.0], [1.0, 1.0])).A[0]) == \
+            _bits(np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
+        # a read-only view of a writeable array is copied too
+        view = A.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(LinearProgram(c, view, b, 0.0, 1.0).A, A)
+        # an LP's own arrays are kept, uncopied
+        assert LinearProgram(p.c, p.A, p.b, p.lo, p.hi).A is p.A
+
     @pytest.mark.parametrize("bound", [np.inf, -np.inf])
     def test_infinite_equal_bounds_rejected(self, bound):
         # lo = hi = +inf (or -inf) leaves the variable no value; it used to
@@ -287,6 +308,94 @@ class TestDifferencedRows:
                 assert worst_case_value(got.x[:n], box) == pytest.approx(
                     got.value, rel=1e-9, abs=1e-9)
         assert solved >= 20
+
+
+def _plain_robust(p, box):
+    """``robustify_box`` built from scratch for each box, one j at a time."""
+    n, m = p.n, p.m
+    x0 = np.where(np.isfinite(p.lo), p.lo, np.where(np.isfinite(p.hi), p.hi, 0.0))
+    A = np.zeros((m + 2 * n, 4 * n))
+    A[:m, :n] = p.A
+    for j in range(n):
+        if x0[j] >= 0:
+            kept, other, kept_slack, other_slack = box.upper[j], box.lower[j], 2 * n, 3 * n
+        else:
+            kept, other, kept_slack, other_slack = box.lower[j], box.upper[j], 3 * n, 2 * n
+        A[m + j, [j, n + j, kept_slack + j]] = [-kept, 1.0, -1.0]
+        A[m + n + j, [j, kept_slack + j, other_slack + j]] = [kept - other, 1.0, -1.0]
+    c = np.concatenate([np.zeros(n), np.ones(n), np.zeros(2 * n)])
+    lo = np.concatenate([p.lo, np.full(n, -np.inf), np.zeros(2 * n)])
+    hi = np.concatenate([p.hi, np.full(3 * n, np.inf)])
+    return LinearProgram(c, A, np.concatenate([p.b, np.zeros(2 * n)]), lo, hi)
+
+
+def _assert_same_lp(got, want):
+    for field in ("c", "A", "b", "lo", "hi"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+
+
+class TestCachedLayout:
+    """``robustify_box`` builds what no box sets once per template."""
+
+    @pytest.mark.parametrize("start", ["negative", "zero", "positive", "upper-only",
+                                       "free"])
+    def test_equals_a_plain_construction(self, start):
+        rng = np.random.default_rng(10 + ["negative", "zero", "positive", "upper-only",
+                                          "free"].index(start))
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 4))
+            lo, hi = TestDifferencedRows._bounds(rng, start, n)
+            A = rng.normal(size=(m, n))
+            p = LinearProgram(rng.normal(size=n), A, rng.normal(size=m), lo, hi)
+            box = BoxSet(*np.sort(rng.normal(size=(2, n)), axis=0))
+            _assert_same_lp(robustify_box(p, box), _plain_robust(p, box))
+
+    def test_boxes_of_one_template_do_not_leak(self):
+        rng = np.random.default_rng(11)
+        p = LinearProgram(np.zeros(3), [[1.0, 2.0, -1.0]], [0.5], [-1.0, 0.0, -np.inf],
+                          [1.0, 2.0, 1.0])
+        boxes = [BoxSet(*np.sort(rng.normal(size=(2, 3)), axis=0)) for _ in range(6)]
+        boxes.append(BoxSet(np.zeros(3), np.zeros(3)))
+        built = [robustify_box(p, box) for box in boxes]
+        layout = p._robust_layout
+        assert robustify_box(p, boxes[0]) is not built[0]
+        assert p._robust_layout is layout       # built once, on first use
+        # each LP holds its own box, also after later boxes were written
+        for box, r in zip(boxes, built):
+            _assert_same_lp(r, _plain_robust(p, box))
+        # the skeleton still reads 0 where each box writes
+        _, box_at, _, skeleton, _, _, _ = layout
+        assert (skeleton[box_at] == 0.0).all()
+        assert np.array_equal(skeleton, _plain_robust(p, boxes[-1]).A)  # -0.0 == 0.0
+
+    def test_cached_arrays_are_read_only(self):
+        p = LinearProgram(np.zeros(2), [[1.0, 1.0]], [1.0], 0.0, 1.0)
+        r = robustify_box(p, BoxSet([-1.0, 0.0], [1.0, 2.0]))
+        keep_u, box_at, *arrays = p._robust_layout
+        for a in [keep_u, *box_at, *arrays, r.c, r.A, r.b, r.lo, r.hi]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        assert not np.shares_memory(r.A, p._robust_layout[3])   # each box's own A
+
+    @pytest.mark.parametrize("template", ["toy", "three-by-one"])
+    def test_solve_robust_box_is_the_sliced_solve(self, template):
+        if template == "toy":
+            p = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        else:
+            p = LinearProgram(np.zeros(3), [[1.0, 2.0, -1.0]], [0.5],
+                              [-1.0, 0.0, -np.inf], [1.0, 2.0, 1.0])
+        rng = np.random.default_rng(12)
+        pivots = 0
+        for _ in range(200):
+            box = BoxSet(*np.sort(rng.normal(size=(2, p.n)) * 2, axis=0))
+            full = solve_lp(robustify_box(p, box))
+            want = LpSolution(full.x[:p.n], full.value, full.status, full.iterations)
+            got = solve_robust_box(p, box)
+            _assert_same_solution(got, want)
+            assert got.status == OPTIMAL
+            pivots += got.iterations
+        assert pivots > 0
 
 
 class TestBoxSet:
