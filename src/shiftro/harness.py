@@ -176,12 +176,15 @@ def empirical_var(x, z, scenario, alpha: float, n_mc: int, rng: RngStream) -> fl
 
     Uses the ceil(alpha * n_mc) order statistic (higher interpolation) of
     the objective value at decision x, with costs drawn from the test-phase
-    conditional law at z.
+    conditional law at z. A product within a few ulp above an integer counts
+    as that integer: 0.55 * 100 reads 55.000000000000007 in floating point,
+    and its ceiling would pick the 56th of 100 draws.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     draws = scenario.sample_costs_given(np.asarray(z, dtype=float), n_mc, rng, TEST)
     vals = np.sort(scenario.lp_costs(draws) @ xv)
-    k = int(math.ceil(alpha * n_mc))
+    level = alpha * n_mc
+    k = math.ceil(level - 4 * math.ulp(level))
     return float(vals[k - 1])
 
 

@@ -17,11 +17,19 @@ each of them, feasibly, at the solver's start point. The robust LPs of the
 toy, simple and knapsack worlds therefore start feasible and skip phase 1.
 Everything of a robust LP but its 2n box entries depends on the template
 alone, so a template builds that layout once, with read-only arrays, and
-each box copies its skeleton A and writes those entries. These LPs are
-small, so numpy call overhead, not arithmetic, sets their cost: with one
-BLAS thread on a 2-vCPU VM, a toy robust LP (4 variables, 2 rows) on a
-replicate's own boxes takes about 0.04 ms to build and 0.12 to 0.15 ms to
-solve.
+each box copies its skeleton A, writes and checks those entries, and skips
+the checks the layout already passed. The part of the solver's start that
+the bounds alone set (start point, column states, extended bounds) is one
+read-only tuple per LP, and every robust LP of a template shares the
+template's; the solver copies only what it writes. When neither phase
+pivots or flips a bound, the basis is still the diagonal crash basis and
+its start values are the solution, so x is read off them without the final
+solve (bit for bit what that solve gives); about 80 % of the benchmark's
+toy and simple robust LPs, and over 90 % of its knapsack ones, end so.
+These LPs are small, so numpy call overhead, not arithmetic, sets their
+cost: with one BLAS thread on a 2-vCPU VM, a toy robust LP (4 variables, 2
+rows) on a replicate's own boxes takes about 0.012 ms to build and 0.07 ms
+to solve.
 """
 
 from __future__ import annotations
@@ -105,6 +113,13 @@ class LinearProgram:
         return self.A.shape[0]
 
     @cached_property
+    def _start(self) -> tuple:
+        """``(x, state, lo, hi)`` of ``solve_lp``'s start over the n + m
+        columns [x, artificials], before the crash: what the bounds alone set.
+        Read-only, as robust LPs share their template's."""
+        return _bound_start(self.lo, self.hi, self.m)
+
+    @cached_property
     def _robust_layout(self) -> tuple:
         """``(keep_u, box_at, c, A, b, lo, hi)``: what ``robustify_box`` builds
         from this LP alone, built on first use and kept. Row m + j keeps u_j
@@ -113,8 +128,7 @@ class LinearProgram:
         read-only, since every robust LP of this template shares c, b and the
         bounds."""
         n, m = self.n, self.m
-        finite_lo, finite_hi = np.isfinite(self.lo), np.isfinite(self.hi)
-        keep_u = _start_point(self.lo, self.hi, finite_lo, finite_hi) >= 0.0
+        keep_u = self._start[0][:n] >= 0.0
         j = np.arange(n)
         kept_slack = np.where(keep_u, 2 * n, 3 * n) + j
         other_slack = np.where(keep_u, 3 * n, 2 * n) + j
@@ -138,6 +152,12 @@ class LinearProgram:
         for a in (keep_u, *box_at, c, A, b, lo, hi):
             a.flags.writeable = False
         return keep_u, box_at, c, A, b, lo, hi
+
+    @cached_property
+    def _robust_start(self) -> tuple:
+        """The ``_start`` that every robust LP of this template shares."""
+        *_, lo, hi = self._robust_layout
+        return _bound_start(lo, hi, self.m + 2 * self.n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -215,6 +235,7 @@ class _Tableau:
         self.T = T                  # B^{-1} A
         self.xB = xB                # basic variable values
         self.pivots = 0
+        self.flips = 0              # bound flips, which move no basis
 
     def nonbasic_x(self):
         """Every column at its nonbasic value; basic and free columns read 0."""
@@ -281,6 +302,7 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
             state[j] = _AT_HI if going_up else _AT_LO
             can_up[j] = not going_up
             can_dn[j] = going_up
+            tab.flips += 1
             continue
         if t_best == np.inf:
             return UNBOUNDED
@@ -301,37 +323,49 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
     raise RuntimeError("simplex failed to terminate within the pivot cap")
 
 
-def _start_point(lo, hi, finite_lo, finite_hi) -> np.ndarray:
-    """Each column's nonbasic start: its finite lower bound, else its finite
-    upper bound, else zero."""
-    return np.where(finite_lo, lo, np.where(finite_hi, hi, 0.0))
+def _bound_start(lo, hi, m) -> tuple:
+    """Read-only ``(x, state, lo, hi)`` over n columns with these bounds and m
+    artificials. Each column starts nonbasic at its finite lower bound, else
+    its finite upper bound, else zero (free); each artificial is basic, in
+    [0, inf), and x reads 0 for it."""
+    n = lo.size
+    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+    x = np.zeros(n + m)
+    x[:n] = np.where(finite_lo, lo, np.where(finite_hi, hi, 0.0))
+    state = np.full(n + m, _BASIC)
+    state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
+    lo_ext = np.zeros(n + m)
+    lo_ext[:n] = lo
+    hi_ext = np.full(n + m, np.inf)
+    hi_ext[:n] = hi
+    for a in (x, state, lo_ext, hi_ext):
+        a.flags.writeable = False
+    return x, state, lo_ext, hi_ext
 
 
 def solve_lp(p: LinearProgram) -> LpSolution:
     """Solve the LP, classifying the result as optimal/infeasible/unbounded.
 
-    Columns start nonbasic at ``_start_point``. Row i's basic column is the
-    lowest-indexed column whose only nonzero is in row i and whose value
-    from row i lies within its bounds (row i's artificial is then locked at
-    zero), else row i's artificial at ``|b_i - A_i x0|``.
+    Columns start nonbasic as ``LinearProgram._start`` sets them. Row i's
+    basic column is the lowest-indexed column whose only nonzero is in row i
+    and whose value from row i lies within its bounds (row i's artificial is
+    then locked at zero), else row i's artificial at ``|b_i - A_i x0|``.
+    The start basis is diagonal, so when neither phase pivots or flips a
+    bound, x reads off the start's basic values; else a solve with the final
+    basis recomputes them.
     """
     m, n = p.m, p.n
-    finite_lo, finite_hi = np.isfinite(p.lo), np.isfinite(p.hi)
-    x_ext = np.zeros(n + m)
-    x_ext[:n] = _start_point(p.lo, p.hi, finite_lo, finite_hi)
-    state = np.full(n + m, _BASIC)
-    state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
-    resid = p.b - p.A @ x_ext[:n]
+    x0, state0, lo_ext, hi0 = p._start
+    # lo_ext is shared and read as it stands: an artificial's lower bound is
+    # already the 0 that phase 2 locks it at
+    x_ext, state, hi_ext = x0.copy(), state0.copy(), hi0.copy()
+    resid = p.b - p.A @ x0[:n]
     signs = np.where(resid >= 0.0, 1.0, -1.0)
     # columns [A, diag(signs)]: one artificial per row
     A_ext = np.zeros((m, n + m))
     A_ext[:, :n] = p.A
     basis = np.arange(n, n + m)
     A_ext[basis - n, basis] = signs
-    lo_ext = np.zeros(n + m)
-    lo_ext[:n] = p.lo
-    hi_ext = np.full(n + m, np.inf)
-    hi_ext[:n] = p.hi
 
     # crash: singleton columns whose row puts them within their bounds
     single = ((p.A != 0).sum(axis=0) == 1).nonzero()[0]
@@ -365,7 +399,6 @@ def solve_lp(p: LinearProgram) -> LpSolution:
             return LpSolution(np.full(n, np.nan), np.nan, INFEASIBLE)
 
     # Lock artificials at zero for phase 2 (basic ones may stay, degenerate).
-    tab.lo[n:] = 0.0
     tab.hi[n:] = 0.0
     art_state = tab.state[n:]
     art_state[art_state != _BASIC] = _AT_LO
@@ -376,8 +409,15 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(np.full(n, np.nan), -np.inf, UNBOUNDED)
 
-    x_full = tab.nonbasic_x()
-    x_full[tab.basis] = np.linalg.solve(A_ext[:, tab.basis], p.b - A_ext @ x_full)
+    if tab.pivots or tab.flips:
+        x_full = tab.nonbasic_x()
+        x_full[tab.basis] = np.linalg.solve(A_ext[:, tab.basis], p.b - A_ext @ x_full)
+    else:
+        # Still the diagonal start basis, and every nonbasic column (an
+        # artificial too) sits where x_ext put it: the solve would divide
+        # the same residual by the same diagonal, so read xB instead.
+        x_full = x_ext
+        x_full[tab.basis] = tab.xB
     # Snap solver noise back into the bounds (no lower bound is +inf and no
     # upper bound -inf, so they clip as they stand).
     x = x_full[:n].clip(p.lo, p.hi)
@@ -395,7 +435,7 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     decision is the leading n entries.
 
     Row m + j keeps for t_j the bound k_j that binds at x_j's start point x0_j
-    (``_start_point``): u_j where x0_j >= 0, else l_j. With o_j the other
+    (``_bound_start``): u_j where x0_j >= 0, else l_j. With o_j the other
     bound, it reads ``t_j - k_j x_j - slack_k_j = 0``, and row m + n + j is the
     other bound's row minus it, ``(k_j - o_j) x_j + slack_k_j - slack_o_j =
     0``. The feasible set is the same as with the two bound rows as they
@@ -404,7 +444,9 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
 
     Everything but the 2n entries -k_j and k_j - o_j depends on p alone, so
     p builds it once (``LinearProgram._robust_layout``), and each box copies
-    the skeleton A and writes those entries.
+    the skeleton A and writes those entries. The rest was checked when p
+    built it, so only the written entries are checked again (k_j - o_j may
+    overflow), and the LP shares p's robust start.
     """
     n = p.n
     if box.dim != n:
@@ -413,10 +455,17 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
         raise ValueError("robust reformulation requires a finite box")
     keep_u, box_at, c, A, b, lo, hi = p._robust_layout
     kept = np.where(keep_u, box.upper, box.lower)
+    entries = np.concatenate([-kept, kept - np.where(keep_u, box.lower, box.upper)])
+    if not np.isfinite(entries).all():
+        raise ValueError("the box is too wide: its robust rows must be finite")
     A = A.copy()
-    A[box_at] = np.concatenate([-kept, kept - np.where(keep_u, box.lower, box.upper)])
-    A.flags.writeable = False   # so that LinearProgram keeps it uncopied
-    return LinearProgram(c, A, b, lo, hi)
+    A[box_at] = entries
+    A.flags.writeable = False
+    r = object.__new__(LinearProgram)
+    for name, value in (("c", c), ("A", A), ("b", b), ("lo", lo), ("hi", hi),
+                        ("_start", p._robust_start)):
+        object.__setattr__(r, name, value)
+    return r
 
 
 def solve_robust_box(p: LinearProgram, box: BoxSet) -> LpSolution:

@@ -113,6 +113,20 @@ class TestEmpiricalVar:
         v = empirical_var([1.0], [0.0], Seq(), 0.8, 10, RngStream(4))
         assert v == 8.0  # ceil(0.8 * 10) = 8th smallest
 
+    def test_order_statistic_of_an_inexact_product(self):
+        # 0.55 * 100 reads 55.000000000000007, one ulp above 55, so a plain
+        # ceiling would take the 56th of 100 draws
+        class Seq:
+            def sample_costs_given(self, z, n, rng, phase):
+                return np.arange(1.0, n + 1.0)[:, None]
+
+            def lp_costs(self, C):
+                return C
+        assert 0.55 * 100 > 55
+        assert empirical_var([1.0], [0.0], Seq(), 0.55, 100, RngStream(4)) == 55.0
+        assert empirical_var([1.0], [0.0], Seq(), 0.8, 100, RngStream(4)) == 80.0
+        assert empirical_var([1.0], [0.0], Seq(), 0.555, 100, RngStream(4)) == 56.0
+
 
 class TestPipeline:
     def test_toy_run_structure(self):

@@ -235,6 +235,14 @@ class TestRobustifyBox:
             assert res.status == 0 and ours.status == OPTIMAL
             assert ours.value == pytest.approx(res.fun, abs=1e-6)
 
+    def test_overflowing_box_entries_rejected(self):
+        # a finite box whose width overflows: k_j - o_j reads -inf, which
+        # numpy warns of, and the robust LP is refused
+        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        with pytest.raises(ValueError, match="finite"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            robustify_box(template, BoxSet([-1.7e308], [1.7e308]))
+
     def test_worst_case_dominates_center(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -396,6 +404,45 @@ class TestCachedLayout:
             assert got.status == OPTIMAL
             pivots += got.iterations
         assert pivots > 0
+
+
+class TestSharedStart:
+    """Robust LPs share their template's read-only ``solve_lp`` start."""
+
+    @pytest.mark.parametrize("start", ["negative", "zero", "positive", "upper-only",
+                                       "free"])
+    def test_equals_a_fresh_lps_start(self, start):
+        rng = np.random.default_rng(20 + ["negative", "zero", "positive", "upper-only",
+                                          "free"].index(start))
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(0, 4))
+            lo, hi = TestDifferencedRows._bounds(rng, start, n)
+            p = LinearProgram(rng.normal(size=n), rng.normal(size=(m, n)),
+                              rng.normal(size=m), lo, hi)
+            r = robustify_box(p, BoxSet(*np.sort(rng.normal(size=(2, n)), axis=0)))
+            assert r._start is p._robust_start
+            fresh = LinearProgram(r.c, r.A, r.b, r.lo, r.hi)
+            assert "_start" not in vars(fresh)        # computed on first use
+            for got, want in zip(r._start, fresh._start, strict=True):
+                assert _bits(got) == _bits(want)
+
+    def test_start_arrays_are_read_only(self):
+        p = LinearProgram(np.zeros(2), [[1.0, 1.0]], [1.0], [-1.0, 0.0], [1.0, np.inf])
+        r = robustify_box(p, BoxSet([-1.0, 0.0], [1.0, 2.0]))
+        for a in (*p._start, *r._start):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+    def test_templates_do_not_share_a_start(self):
+        box = BoxSet([-1.0], [1.0])
+        p = LinearProgram([0.0], np.zeros((0, 1)), [], [-1.0], [1.0])
+        q = LinearProgram([0.0], np.zeros((0, 1)), [], [-1.0], [1.0])
+        r_p, r_q = robustify_box(p, box), robustify_box(q, box)
+        assert robustify_box(p, box)._start is r_p._start
+        assert r_p._start is not r_q._start
+        for a in r_p._start:
+            assert not any(np.shares_memory(a, b) for b in r_q._start)
 
 
 class TestBoxSet:
@@ -657,14 +704,18 @@ class TestAgainstReference:
         assert min(statuses.values()) >= 100, statuses
         assert pivots >= 5
 
-    def test_toy_robust_boxes(self):
+    def test_toy_robust_boxes(self, monkeypatch):
         template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
         rng = np.random.default_rng(4)
         center = rng.normal(size=600)
         half = rng.uniform(0, 1.5, 600)
+        tableaus = _tableaus(monkeypatch)
         for c, h in zip(center, half):
             p = robustify_box(template, BoxSet([c - h], [c + h]))
             _assert_same_solution(solve_lp(p), _ref_solve_lp(p))
+        # both the solve after a move and the read-out of the start basis
+        moved = sum(t.pivots + t.flips > 0 for t in tableaus)
+        assert 0 < moved < len(tableaus) == 600
 
     def test_knapsack_lps(self):
         scn = make_scenario(ExperimentConfig(scenario="knapsack", d=10, seed=0))
@@ -747,6 +798,45 @@ class TestAgainstReference:
         # the reference also refactors before reading x
         assert len(tableaus[lp._Tableau]) == 2
         assert tableaus[lp._Tableau] == tableaus[_RefTableau][:-1]
+
+
+def _tableaus(monkeypatch):
+    """Every tableau that ``solve_lp`` builds, in order."""
+    built = []
+
+    class Recording(lp._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(lp, "_Tableau", Recording)
+    return built
+
+
+class TestNoMoveReadOut:
+    # x0 and x1 are singletons of rows 0 and 1 with coefficients 2.5 and
+    # -0.3, so the crash starts them basic in a non-unit diagonal basis
+    A = [[2.5, 0.0, 1.0], [0.0, -0.3, 1.0]]
+    b = [1.3, 0.7]
+    lo = [-5.0, -5.0, 0.1]
+
+    @pytest.mark.parametrize("c, moves", [([0.0, 0.0, 1.0], 0), ([0.0, 0.0, -1.0], 1)])
+    def test_same_bits_as_the_reference(self, monkeypatch, c, moves):
+        # with cost +1, x2 stays at its lower bound and nothing moves, so the
+        # final solve is skipped; with cost -1 it rises to its upper bound 1
+        # in a bound flip, no pivot, and the solve runs
+        tableaus = _tableaus(monkeypatch)
+        p = LinearProgram(c, self.A, self.b, self.lo, [5.0, 5.0, 1.0])
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(lp.np.linalg, "solve",
+                            lambda *args: solves.append(args) or solve(*args))
+        got = solve_lp(p)
+        assert tableaus[0].basis.tolist() == [0, 1]
+        assert (tableaus[0].pivots, tableaus[0].flips) == (0, moves)
+        assert len(solves) == moves
+        assert got.status == OPTIMAL
+        _assert_same_solution(got, _ref_solve_lp(p))
 
 
 def _phase_starts(monkeypatch):
