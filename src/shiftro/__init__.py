@@ -12,8 +12,8 @@ from .conformal import (CalibScores, calib_scores, empirical_coverage, select_et
                         uncertainty_box)
 from .density_ratio import (GaussianOracleRatio, RatioModel, fit_classifier_ratio,
                             fit_kmm_covariate, fit_kmm_label, trivial_ratio)
-from .harness import (ExperimentConfig, Report, ReportRow, calibrate_replicate,
-                      emit_report, empirical_var, run_pipeline, run_replicate)
+from .harness import (ExperimentConfig, Report, ReportRow, emit_report, empirical_var,
+                      run_pipeline, run_replicate)
 from .lp import (BoxSet, LinearProgram, LpSolution, robustify_box, solve_lp,
                  solve_robust_box)
 from .numerics import RngStream, normal_cdf, normal_quantile, solve_spd

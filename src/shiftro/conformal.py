@@ -58,18 +58,16 @@ def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibS
 def select_eta(scores: CalibScores, alpha: float) -> float:
     """Smallest calibration score whose weighted empirical coverage reaches alpha.
 
-    Sorts scores ascending, accumulates normalized weights, and returns the
-    first score with cumulative weight >= alpha (the max score if none
-    qualifies, which finite weights rule out).
+    Sorts scores ascending, accumulates their weights, and returns the first
+    score whose cumulative weight reaches alpha of the total or falls short by a
+    few ulp (as in ``empirical_var``: 0.55 * 100 reads 55.000000000000007).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     order = np.argsort(scores.scores, kind="stable")
-    s = scores.scores[order]
-    w = scores.weights[order]
-    cum = np.cumsum(w)
-    hit = np.flatnonzero(cum >= alpha * cum[-1])
-    return float(s[hit[0]]) if hit.size else float(s[-1])
+    cum = np.cumsum(scores.weights[order])
+    level = alpha * cum[-1]
+    return float(scores.scores[order[np.searchsorted(cum, level - 4 * np.spacing(level))]])
 
 
 def uncertainty_box(z, mean_model, quantile_model, eta: float) -> BoxSet:

@@ -1,13 +1,14 @@
 """End-to-end experiment orchestration: sample, fit, calibrate, decide,
 score, and emit reports.
 
-A pipeline run follows the calibration recipe end to end: fit the mean model
-on the first training slice, the residual-width model on the second, the
-density-ratio model from training + unlabeled test covariates, pick the
-uncertainty scale on the held-out calibration slice, then solve the robust LP
-at every evaluation covariate and record coverage / conservatism / value-at-
-risk metrics. Replicate r of a run with seed s is bitwise identical to a
-single run with seed s + r, which makes parallel execution safe.
+A replicate runs in three steps. ``fit_replicate`` samples, then fits the mean
+model on the first training slice and the residual-width model on the second.
+``calibrate`` fits the density-ratio model from training + unlabeled test
+covariates and picks the uncertainty scale on the calibration slice; one fit
+serves any number of calibrations. ``evaluate`` solves the robust LP at every
+evaluation covariate and records coverage / conservatism / value-at-risk
+metrics. Replicate r of a run with seed s is bitwise identical to a single run
+with seed s + r, which makes parallel execution safe.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .density_ratio import (GaussianOracleRatio, fit_classifier_ratio, fit_kmm_c
                             fit_kmm_label, trivial_ratio)
 from .lp import OPTIMAL, BoxSet, LinearProgram, solve_lp, solve_robust_box
 from .numerics import RngStream
-from .predictors import Dataset, compute_residuals, fit_mean, fit_quantile
+from .predictors import Dataset, Predictor, compute_residuals, fit_mean, fit_quantile
 from . import analytic
 from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScenario,
                         ToyScenario, build_knapsack_lp, trace_path)
@@ -195,19 +196,20 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def _fit_ratio(config, scenario, train_z, d2: Dataset, test_z, seed):
-    kind = config.ratio_kind
+def _fit_ratio(config, fitted: FittedReplicate):
+    kind, seed, d2, test_z = config.ratio_kind, fitted.seed, fitted.d2, fitted.test_cov.Z
     clip = (config.clip_lo, config.clip_hi)
     if kind == "trivial":
         return trivial_ratio(*clip)
     if kind in ("cls-linear", "cls-mlp"):
+        train_z = np.vstack([fitted.train_f.Z, fitted.d1.Z, d2.Z])
         return fit_classifier_ratio(train_z, test_z, kind.removeprefix("cls-"), seed, clip)
     if kind == "kmm-cov":
         return fit_kmm_covariate(d2.Z, test_z, clip, RngStream(seed, 31))
     if kind == "kmm-label":
         return fit_kmm_label(d2, test_z, clip, RngStream(seed, 32))
     if kind == "oracle":
-        return GaussianOracleRatio(scenario, *clip)
+        return GaussianOracleRatio(fitted.scenario, *clip)
     raise ValueError(kind)
 
 
@@ -234,62 +236,76 @@ def _decide(scenario, box: BoxSet, template: LinearProgram):
     return sol.x[:x_len]
 
 
-def calibrate_replicate(config: ExperimentConfig, rep: int = 0):
-    """Sample, fit f, h and the ratio, and calibrate eta for one replicate.
+@dataclass(frozen=True)
+class FittedReplicate:
+    """A replicate's seed, its stream 1-4 samples, f (fit on train_f) and h (on d1)."""
 
-    Returns ``(scenario, mean_model, quantile_model, eta)``, with
-    streams keyed by seed + rep; ``run_replicate`` evaluates what it returns.
-    """
+    config: ExperimentConfig
+    seed: int
+    scenario: object
+    train_f: Dataset
+    d1: Dataset
+    d2: Dataset
+    test_cov: Dataset
+    f: Predictor
+    h: Predictor
+
+
+# what fit_replicate reads: calibrate and evaluate refuse a config that differs here
+FIT_FIELDS = ("scenario", "alpha", "shift", "shift_kind", "d", "sigma1", "sigma2",
+              "n_f", "n_h", "n_cal", "m_ratio", "mean_kind", "quantile_kind", "seed")
+
+
+def _check_fit(fitted: FittedReplicate, config: ExperimentConfig):
+    differ = [n for n in FIT_FIELDS if getattr(config, n) != getattr(fitted.config, n)]
+    if differ:
+        raise ValueError(f"config differs from the fit's config in {differ}")
+
+
+def fit_replicate(config: ExperimentConfig, rep: int = 0) -> FittedReplicate:
+    """Sample streams 1-4 of replicate rep and fit f and h on them."""
     seed = config.seed + rep
     # scenario structure (theta, prices) stays frozen across replicates
     scenario = _stage("scenario", make_scenario, config)
-    alpha = config.alpha
-
     train_f = _stage("sample-train", scenario.sample, config.n_f, RngStream(seed, 1), TRAIN)
     d1 = _stage("sample-d1", scenario.sample, config.n_h, RngStream(seed, 2), TRAIN)
     d2 = _stage("sample-d2", scenario.sample, config.n_cal, RngStream(seed, 3), TRAIN)
     test_cov = _stage("sample-test-covariates", scenario.sample, config.m_ratio,
                       RngStream(seed, 4), TEST)
+    f = _stage("fit-mean", fit_mean, train_f, config.mean_kind, seed)
+    resid = _stage("residuals", compute_residuals, d1, f)
+    h = _stage("fit-quantile", fit_quantile, d1.Z, np.abs(resid), config.alpha,
+               config.quantile_kind, seed)
+    return FittedReplicate(config, seed, scenario, train_f, d1, d2, test_cov, f, h)
 
-    mean_model = _stage("fit-mean", fit_mean, train_f, config.mean_kind, seed)
-    resid = _stage("residuals", compute_residuals, d1, mean_model)
-    quant_model = _stage("fit-quantile", fit_quantile, d1.Z, np.abs(resid), alpha,
-                         config.quantile_kind, seed)
 
-    train_z = np.vstack([train_f.Z, d1.Z, d2.Z])
-    ratio_model = _stage("fit-ratio", _fit_ratio, config, scenario, train_z, d2, test_cov.Z,
-                         seed)
-    rows = ratio_model.fit_indices
+def calibrate(fitted: FittedReplicate, config: ExperimentConfig) -> float:
+    """Eta of config's ratio kind and clip bounds on the fit's f and h: the ratio,
+    fit on pooled training covariates against test_cov, weighs d2's scores."""
+    _check_fit(fitted, config)
+    ratio_model = _stage("fit-ratio", _fit_ratio, config, fitted)
+    rows, d2 = ratio_model.fit_indices, fitted.d2
     d2_cal = d2 if rows is None else Dataset(d2.Z[rows], d2.C[rows])
-
-    scores = _stage("calib-scores", calib_scores, d2_cal, mean_model, quant_model,
-                    ratio_model)
-    eta = _stage("select-eta", select_eta, scores, alpha)
-    return scenario, mean_model, quant_model, eta
+    scores = _stage("calib-scores", calib_scores, d2_cal, fitted.f, fitted.h, ratio_model)
+    return _stage("select-eta", select_eta, scores, config.alpha)
 
 
-def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
-    """One full pipeline pass; replicate streams are keyed by seed + rep."""
-    seed = config.seed + rep
-    alpha = config.alpha
-    scenario, mean_model, quant_model, eta = calibrate_replicate(config, rep)
-
-    eval_data = _stage("sample-eval", scenario.sample, config.n_eval,
-                       RngStream(seed, 5), TEST)
+def evaluate(fitted: FittedReplicate, eta: float, config: ExperimentConfig) -> ReportRow:
+    """Boxes f +- eta * h and their decisions, scored on stream 5's n_eval rows."""
+    _check_fit(fitted, config)
+    seed, scenario, alpha = fitted.seed, fitted.scenario, config.alpha
+    eval_data = _stage("sample-eval", scenario.sample, config.n_eval, RngStream(seed, 5), TEST)
     var_rng = RngStream(seed, 6)
-
-    boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, mean_model,
-                   quant_model, eta)
+    boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, fitted.f, fitted.h, eta)
     covered = box_hits(eval_data.C, boxes)
     template = _stage("decide", scenario.decision_lp)
     conservative = np.zeros(eval_data.n, dtype=bool)
     var_vals = np.zeros(eval_data.n)
     for i in range(eval_data.n):
-        z = eval_data.Z[i]
         x = _stage("decide", _decide, scenario, boxes.row(i), template)
         conservative[i] = bool(np.max(np.abs(x)) <= 1e-9)
-        var_vals[i] = _stage("empirical-var", empirical_var, x, z, scenario, alpha,
-                             config.n_mc_var, var_rng)
+        var_vals[i] = _stage("empirical-var", empirical_var, x, eval_data.Z[i], scenario,
+                             alpha, config.n_mc_var, var_rng)
 
     cov_total = empirical_coverage(eval_data, boxes)
     neg = eval_data.Z[:, 0] <= 0
@@ -297,11 +313,16 @@ def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
     cov_pos = float(covered[~neg].mean()) if (~neg).any() else float("nan")
 
     return ReportRow(
-        seed=seed, scenario=config.scenario, ratio_kind=config.ratio_kind,
-        alpha=alpha, d=scenario.d,
-        coverage_total=cov_total, coverage_z1_neg=cov_neg, coverage_z1_pos=cov_pos,
-        p_conservative=float(conservative.mean()), mean_var=float(var_vals.mean()),
-        eta=eta)
+        seed=seed, scenario=config.scenario, ratio_kind=config.ratio_kind, alpha=alpha,
+        d=scenario.d, coverage_total=cov_total, coverage_z1_neg=cov_neg,
+        coverage_z1_pos=cov_pos, p_conservative=float(conservative.mean()),
+        mean_var=float(var_vals.mean()), eta=eta)
+
+
+def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
+    """One full pipeline pass: fit, calibrate and evaluate replicate rep."""
+    fitted = fit_replicate(config, rep)
+    return evaluate(fitted, calibrate(fitted, config), config)
 
 
 def run_pipeline(config: ExperimentConfig) -> Report:

@@ -455,7 +455,8 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
         raise ValueError("robust reformulation requires a finite box")
     keep_u, box_at, c, A, b, lo, hi = p._robust_layout
     kept = np.where(keep_u, box.upper, box.lower)
-    entries = np.concatenate([-kept, kept - np.where(keep_u, box.lower, box.upper)])
+    with np.errstate(over="ignore"):     # an overflowed entry is rejected below
+        entries = np.concatenate([-kept, kept - np.where(keep_u, box.lower, box.upper)])
     if not np.isfinite(entries).all():
         raise ValueError("the box is too wide: its robust rows must be finite")
     A = A.copy()

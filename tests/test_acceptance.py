@@ -15,9 +15,9 @@ from scipy.stats import t as student_t
 
 from shiftro.analytic import (OODRO, WSBALL, coverage_band, exact_coverage,
                               oracle_toy_decision, prob_conservative, tv_distance)
-from shiftro.conformal import CalibScores, select_eta
-from shiftro.harness import (ExperimentConfig, calibrate_replicate, run_pipeline,
-                             run_replicate)
+from shiftro.conformal import CalibScores, box_hits, select_eta, uncertainty_box
+from shiftro.harness import (ExperimentConfig, Report, calibrate, evaluate, fit_replicate,
+                             run_pipeline)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box, \
     worst_case_value
 from shiftro.numerics import RngStream, normal_quantile
@@ -157,14 +157,6 @@ class TestCriterion4ToyPipeline:
         assert elapsed < self.BUDGET
 
 
-def _box_coverage(data, f, h, eta):
-    """Share of rows whose cost lies in the box f(z) +- eta * h(z)."""
-    center = f.predict(data.Z)
-    half = eta * h.predict(data.Z)
-    inside = (data.C >= center - half) & (data.C <= center + half)
-    return float(np.all(inside, axis=1).mean())
-
-
 class TestCriterion5FigureThreeTable:
     BUDGET = 600.0
     # Paired shift check on the unweighted calibration. Its effect is small
@@ -176,15 +168,25 @@ class TestCriterion5FigureThreeTable:
 
     def test_coverage_table_reproduction(self):
         t0 = time.time()
-        medians, reports = {}, {}
-        for ratio in ("cls-mlp", "trivial"):
-            cfg = ExperimentConfig(scenario="simple", alpha=0.8, d=4,
-                                   ratio_kind=ratio, seed=100, replicates=5)
-            report = run_pipeline(cfg)
-            reports[ratio] = report
+        configs = {ratio: ExperimentConfig(scenario="simple", alpha=0.8, d=4,
+                                           ratio_kind=ratio, seed=100, replicates=5)
+                   for ratio in ("cls-mlp", "trivial")}
+        triv_cfg = configs["trivial"]
+        # One fit of f and h per replicate. Replicates 0..4 give the table's
+        # rows of both kinds, and all twenty carry the paired shift check.
+        fits = [fit_replicate(triv_cfg, rep) for rep in range(self.SHIFT_REPLICATES)]
+        etas = [calibrate(fit, triv_cfg) for fit in fits]
+        medians, rows = {}, {}
+        for ratio, cfg in configs.items():
+            rows[ratio] = [evaluate(fit, calibrate(fit, cfg), cfg)
+                           for fit in fits[:cfg.replicates]]
+            report = Report(tuple(rows[ratio]), cfg)
             medians[ratio] = (report.median("coverage_total"),
                               report.median("coverage_z1_neg"),
                               report.median("coverage_z1_pos"))
+        for row, eta in zip(rows["trivial"], etas):
+            # anchor: the shift check's calibration is the one the row reports
+            assert row.eta == eta, row.seed
         cls_total, cls_neg, cls_pos = medians["cls-mlp"]
         triv_total = medians["trivial"][0]
 
@@ -198,19 +200,15 @@ class TestCriterion5FigureThreeTable:
         # two blocks share their base draws. The clause is a one-sided paired
         # t-test at level 0.025 on the coverage differences.
         t1 = time.time()
-        triv_cfg = reports["trivial"].config
         diffs = []
-        for rep in range(self.SHIFT_REPLICATES):
-            scenario, f, h, eta = calibrate_replicate(triv_cfg, rep)
-            if rep < triv_cfg.replicates:
-                # anchor: the calibration is the one run_replicate reports
-                assert eta == reports["trivial"].rows[rep].eta, rep
+        for fit, eta in zip(fits, etas):
             cov = []
-            for world in (replace(scenario, shift=0.0), scenario):
+            for world in (replace(fit.scenario, shift=0.0), fit.scenario):
                 # a fresh stream per world: both blocks share their base draws
-                stream = RngStream(triv_cfg.seed + rep, self.SHIFT_EVAL_STREAM)
+                stream = RngStream(fit.seed, self.SHIFT_EVAL_STREAM)
                 block = world.sample(self.SHIFT_EVAL_ROWS, stream, TEST)
-                cov.append(_box_coverage(block, f, h, eta))
+                boxes = uncertainty_box(block.Z, fit.f, fit.h, eta)
+                cov.append(float(box_hits(block.C, boxes).mean()))
             diffs.append(cov[1] - cov[0])
         shift_elapsed = time.time() - t1
         n_rep = len(diffs)
@@ -336,15 +334,17 @@ class TestCriterion9ShortestPath:
 
         # qualitative reproduction: classifier weighting tracks the target
         # coverage better than no weighting in most seeds (integrality of
-        # every decision is enforced inside the pipeline's decision step)
+        # every decision is enforced inside the pipeline's decision step);
+        # each seed's f and h are fit once and calibrated by both kinds
         wins = 0
         pairs = []
         for seed in range(10):
             covs = {}
+            fit = fit_replicate(ExperimentConfig(scenario="shortest-path", alpha=0.8,
+                                                 d=10, seed=seed, n_eval=200), 0)
             for ratio in ("cls-mlp", "trivial"):
-                cfg = ExperimentConfig(scenario="shortest-path", alpha=0.8, d=10,
-                                       seed=seed, ratio_kind=ratio, n_eval=200)
-                covs[ratio] = run_replicate(cfg, 0).coverage_total
+                cfg = replace(fit.config, ratio_kind=ratio)
+                covs[ratio] = evaluate(fit, calibrate(fit, cfg), cfg).coverage_total
             pairs.append((covs["cls-mlp"], covs["trivial"]))
             if abs(covs["cls-mlp"] - 0.8) < abs(covs["trivial"] - 0.8):
                 wins += 1

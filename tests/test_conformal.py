@@ -85,6 +85,15 @@ class TestSelectEta:
         s = CalibScores(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
         assert select_eta(s, 0.99) == 4.0
 
+    def test_level_of_an_inexact_product(self):
+        # 0.55 * 100 reads 55.000000000000007, one ulp above 55, so an exact
+        # comparison would need the 56th of 100 unit weights
+        s = CalibScores(np.arange(1.0, 101.0), np.ones(100))
+        assert 0.55 * 100 > 55
+        assert select_eta(s, 0.55) == 55.0
+        assert select_eta(s, 0.8) == 80.0
+        assert select_eta(s, 0.555) == 56.0
+
     def test_heavy_weight_on_largest_score(self):
         s = CalibScores(np.array([1.0, 2.0, 3.0, 4.0]),
                         np.array([1.0, 1.0, 1.0, 97.0]))

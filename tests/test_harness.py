@@ -6,7 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +14,11 @@ import pytest
 
 import shiftro
 from shiftro.cli import _config_from_args, build_parser
-from shiftro.harness import (CSV_COLUMNS, ExperimentConfig, PipelineError, Report,
-                             ReportRow, calibrate_replicate, conservatism_curves_svg,
-                             emit_report, empirical_var, run_pipeline, run_replicate,
-                             _stage)
+from shiftro import harness
+from shiftro.harness import (CSV_COLUMNS, FIT_FIELDS, ExperimentConfig, PipelineError,
+                             Report, ReportRow, calibrate, conservatism_curves_svg,
+                             emit_report, empirical_var, evaluate, fit_replicate,
+                             run_pipeline, run_replicate, _stage)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.scenarios import GridScenario, ToyScenario, build_shortest_path_lp
@@ -25,6 +26,9 @@ from shiftro.scenarios import GridScenario, ToyScenario, build_shortest_path_lp
 FAST_TOY = dict(scenario="toy", alpha=0.8, shift=0.5, sigma2=0.5,
                 ratio_kind="oracle", mean_kind="ridge", quantile_kind="linear",
                 n_f=200, n_h=200, n_cal=200, m_ratio=50, n_eval=100, n_mc_var=20)
+# a simple-world config small enough to fit its MLPs and classifier in a second
+SMALL_SIMPLE = dict(scenario="simple", d=2, ratio_kind="cls-mlp", n_f=200, n_h=200,
+                    n_cal=200, m_ratio=200, n_eval=30, n_mc_var=20)
 
 
 class TestConfig:
@@ -190,7 +194,7 @@ class TestPipeline:
         # the run must not fail under the RuntimeWarning filter
         cfg = ExperimentConfig(scenario="knapsack", n_f=200, n_h=200, n_cal=200,
                                m_ratio=200, n_eval=20)
-        eta = calibrate_replicate(cfg, 0)[3]
+        eta = calibrate(fit_replicate(cfg, 0), cfg)
         assert np.isfinite(eta) and eta >= 0.0
 
     def test_kmm_restricts_calibration_to_fit_subsample(self):
@@ -201,6 +205,50 @@ class TestPipeline:
                                seed=2)
         row = run_replicate(cfg, 0)   # n_cal > 400 exercises the subsample path
         assert 0.0 <= row.coverage_total <= 1.0
+
+
+class TestFitCalibrateEvaluate:
+    @pytest.mark.parametrize("base,kinds", [(FAST_TOY, ("oracle", "trivial")),
+                                            (SMALL_SIMPLE, ("cls-mlp", "trivial"))])
+    def test_a_fit_under_one_kind_serves_another(self, base, kinds):
+        # fit under kind a, calibrated and evaluated under kind b: the row of
+        # a plain run under kind b, in both directions
+        for a, b in (kinds, kinds[::-1]):
+            cfg_a = ExperimentConfig(**{**base, "ratio_kind": a, "seed": 5})
+            cfg_b = replace(cfg_a, ratio_kind=b)
+            fit = fit_replicate(cfg_a, 1)
+            assert fit.seed == 6
+            assert evaluate(fit, calibrate(fit, cfg_b), cfg_b) == run_replicate(cfg_b, 1)
+
+    @pytest.mark.parametrize("change", [dict(seed=6), dict(n_f=150), dict(mean_kind="mlp"),
+                                        dict(alpha=0.7)])
+    def test_a_config_that_differs_in_a_fit_field_is_refused(self, change, monkeypatch):
+        cfg = ExperimentConfig(seed=5, **FAST_TOY)
+        fit = fit_replicate(cfg, 0)
+
+        def no_work(name, *args, **kwargs):
+            raise AssertionError(f"stage {name!r} ran")
+
+        monkeypatch.setattr(harness, "_stage", no_work)
+        other = replace(cfg, **change)
+        (name,) = change
+        with pytest.raises(ValueError, match=name):
+            calibrate(fit, other)
+        with pytest.raises(ValueError, match=name):
+            evaluate(fit, 1.0, other)
+
+    def test_fields_the_fit_did_not_read_may_differ(self):
+        cfg = ExperimentConfig(seed=5, **FAST_TOY)
+        fit = fit_replicate(cfg, 0)
+        other = replace(cfg, ratio_kind="trivial", clip_lo=0.1, clip_hi=3.0, n_eval=40,
+                        n_mc_var=11, replicates=3, workers=2, out="x.json", format="json")
+        assert evaluate(fit, calibrate(fit, other), other) == run_replicate(other, 0)
+
+    def test_every_config_field_is_a_fit_field_or_free_to_differ(self):
+        free = {"ratio_kind", "clip_lo", "clip_hi", "n_eval", "n_mc_var", "replicates",
+                "workers", "out", "format"}
+        assert set(FIT_FIELDS) == {f.name for f in fields(ExperimentConfig)} - free
+        assert len(FIT_FIELDS) == len(set(FIT_FIELDS))
 
 
 class TestGridDecisionEquivalence:

@@ -6,8 +6,7 @@ from scipy.optimize import minimize
 
 from shiftro import density_ratio, predictors
 from shiftro.density_ratio import fit_classifier_ratio
-from shiftro.harness import (TEST, TRAIN, ExperimentConfig, calibrate_replicate,
-                             make_scenario)
+from shiftro.harness import TRAIN, ExperimentConfig, calibrate, fit_replicate
 from shiftro.numerics import RngStream, normal_quantile
 from shiftro.predictors import (ADAM_STEP, HIDDEN, MAX_HALVINGS, SUBGRADIENT_STEP,
                                 WIDTH_FLOOR, Dataset, Predictor, compute_residuals,
@@ -579,12 +578,8 @@ def _bfgs_logistic_loss(X, y):
 def _benchmark_classifier_data(scenario, d, seed):
     """The pooled covariates and labels of replicate 0's classifier fit in
     the harness: train_f, d1 and d2 covariates against m_ratio test ones."""
-    cfg = ExperimentConfig(scenario=scenario, d=d, ratio_kind="cls-mlp", seed=seed)
-    scn = make_scenario(cfg)
-    train = [scn.sample(n, RngStream(seed, tag), TRAIN).Z
-             for n, tag in ((cfg.n_f, 1), (cfg.n_h, 2), (cfg.n_cal, 3))]
-    test = scn.sample(cfg.m_ratio, RngStream(seed, 4), TEST).Z
-    return np.vstack(train), test
+    fit = fit_replicate(ExperimentConfig(scenario=scenario, d=d, seed=seed), 0)
+    return np.vstack([fit.train_f.Z, fit.d1.Z, fit.d2.Z]), fit.test_cov.Z
 
 
 @pytest.mark.parametrize("scenario,d,seed", [("simple", 4, 100), ("knapsack", 10, 0)])
@@ -625,19 +620,15 @@ def test_width_fit_beats_adam(scenario, d, seed):
     # scored by the exact pinball loss on 5000 held-out training-law rows:
     # the L-BFGS fit of the smoothed loss ends below the 2000 Adam epochs
     # on raw |r| that it replaced, from the same initial weights
-    cfg = ExperimentConfig(scenario=scenario, d=d, seed=seed)
-    scn = make_scenario(cfg)
-    train_f, d1, held_out = (scn.sample(n, RngStream(seed, tag), TRAIN)
-                             for n, tag in ((cfg.n_f, 1), (cfg.n_h, 2), (5000, 40)))
-    f = fit_mean(train_f, "mlp", seed)
-    Y, Y_held = (np.abs(compute_residuals(data, f)) for data in (d1, held_out))
-    alpha = cfg.alpha
-    init = _mlp_init(scn.d, HIDDEN, Y.shape[1], RngStream(seed, 202))
+    fit = fit_replicate(ExperimentConfig(scenario=scenario, d=d, seed=seed), 0)
+    d1, alpha = fit.d1, fit.config.alpha
+    held_out = fit.scenario.sample(5000, RngStream(seed, 40), TRAIN)
+    Y, Y_held = (np.abs(compute_residuals(data, fit.f)) for data in (d1, held_out))
+    init = _mlp_init(fit.scenario.d, HIDDEN, Y.shape[1], RngStream(seed, 202))
     init["b2"] = np.quantile(Y, alpha, axis=0)
     adam, _ = _fit_gradient(init, d1.Z, Y, "pinball", alpha, 2000)
-    loss, adam_loss = (
-        np.mean(pinball(Y_held - h.predict(held_out.Z), alpha))
-        for h in (fit_quantile(d1.Z, Y, alpha, "mlp", seed), Predictor(adam, WIDTH_FLOOR)))
+    loss, adam_loss = (np.mean(pinball(Y_held - h.predict(held_out.Z), alpha))
+                       for h in (fit.h, Predictor(adam, WIDTH_FLOOR)))
     assert loss < adam_loss
 
 
@@ -646,8 +637,7 @@ def test_grid_width_stays_off_the_floor():
     # width that ends at WIDTH_FLOOR on one of 40 edges scores its row near
     # 1e8, and eta (1e7-1e8 without the sd floor) makes every box degenerate
     cfg = ExperimentConfig(scenario="shortest-path", seed=0)
-    scn, f, h, eta = calibrate_replicate(cfg, 0)
-    d2 = scn.sample(cfg.n_cal, RngStream(cfg.seed, 3), TRAIN)
-    widths = h.predict(d2.Z)
+    fit = fit_replicate(cfg, 0)
+    widths = fit.h.predict(fit.d2.Z)
     assert np.all(widths > WIDTH_FLOOR)
-    assert eta < 10.0
+    assert calibrate(fit, cfg) < 10.0

@@ -36,10 +36,10 @@ def test_stops_at_the_first_differing_row(tmp_path, capsys):
                     ignore=shutil.ignore_patterns("__pycache__"))
     harness = tmp_path / "src" / "shiftro" / "harness.py"
     text = harness.read_text()
-    old = ("def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:\n"
-           '    """One full pipeline pass; replicate streams are keyed by seed + rep."""\n'
-           "    seed = config.seed + rep\n")
-    assert old in text
+    # the one line that computes the replicate seed, in fit_replicate
+    old = "    seed = config.seed + rep\n"
+    assert text.count("config.seed + rep") == 1
+    assert text.index("def fit_replicate(") < text.index(old) < text.index("def calibrate(")
     harness.write_text(text.replace(old, old.replace("rep\n", "rep + (rep == 1)\n")))
     code = rows_ab.main(["--parent", str(_ROOT), "--change", str(tmp_path),
                          "--replicates", "2"])

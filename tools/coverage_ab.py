@@ -8,10 +8,14 @@ COVERAGE_<label>.json.
 
 Each ``--world`` is a JSON object of ``ExperimentConfig`` fields. For each
 world and each tree, a fresh process that imports ``shiftro`` from the tree's
-``src/`` runs ``harness.calibrate_replicate`` for replicates 0..R-1. Every
-replicate's f, h and eta are then scored on one block of test-law rows drawn
-from stream 7 of the replicate's seed, a stream the pipeline does not draw:
-total coverage, coverage on z1 <= 0 and z1 > 0, the mean box width and eta.
+``src/`` runs ``harness.fit_replicate``, ``calibrate`` and ``evaluate`` for
+replicates 0..R-1, so it reads only trees that have ``fit_replicate``. Every
+replicate's f, h and eta are scored on one block of test-law rows drawn from
+stream 7 of the replicate's seed, a stream the pipeline does not draw: total
+coverage, coverage on z1 <= 0 and z1 > 0, the mean box width and eta. Next to
+them stand ``p_conservative`` and ``mean_var`` of the replicate's report row,
+which decides the world's n_eval rows (set ``n_eval`` in ``--world`` to trade
+their precision for time).
 
 Replicate r of one tree is paired with replicate r of the other. For each
 measure the output holds both sides' per-replicate values and, for the
@@ -33,30 +37,34 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EVAL_STREAM = 7
-MEASURES = ("coverage_total", "coverage_z1_neg", "coverage_z1_pos", "mean_width", "eta")
+MEASURES = ("coverage_total", "coverage_z1_neg", "coverage_z1_pos", "mean_width", "eta",
+            "p_conservative", "mean_var")
 
 
 def score_replicates(world: dict, replicates: int, rows: int) -> list:
     """Per-replicate measures of ``world`` under the imported ``shiftro``."""
     import numpy as np
     from shiftro.conformal import box_hits, uncertainty_box
-    from shiftro.harness import ExperimentConfig, calibrate_replicate
+    from shiftro.harness import ExperimentConfig, calibrate, evaluate, fit_replicate
     from shiftro.numerics import RngStream
     from shiftro.scenarios import TEST
 
     config = ExperimentConfig.from_dict(world)
     out = []
     for rep in range(replicates):
-        scenario, f, h, eta = calibrate_replicate(config, rep)
-        block = scenario.sample(rows, RngStream(config.seed + rep, EVAL_STREAM), TEST)
-        boxes = uncertainty_box(block.Z, f, h, eta)
+        fit = fit_replicate(config, rep)
+        eta = calibrate(fit, config)
+        row = evaluate(fit, eta, config)
+        block = fit.scenario.sample(rows, RngStream(fit.seed, EVAL_STREAM), TEST)
+        boxes = uncertainty_box(block.Z, fit.f, fit.h, eta)
         covered = box_hits(block.C, boxes)
         neg = block.Z[:, 0] <= 0
         out.append({"coverage_total": float(covered.mean()),
                     "coverage_z1_neg": float(covered[neg].mean()),
                     "coverage_z1_pos": float(covered[~neg].mean()),
                     "mean_width": float(np.mean(boxes.upper - boxes.lower)),
-                    "eta": float(eta)})
+                    "eta": float(eta),
+                    "p_conservative": row.p_conservative, "mean_var": row.mean_var})
     return out
 
 
@@ -121,7 +129,7 @@ def main(argv=None) -> int:
         sides = [score_tree(tree, world, args.replicates, args.rows)
                  for tree in (args.parent, args.change)]
         entry = result["worlds"][world_key(world)] = {"config": world, **paired(*sides)}
-        for name in ("coverage_total", "mean_width"):
+        for name in ("coverage_total", "mean_width", "p_conservative"):
             m = entry[name]
             print(f"{world_key(world)} {name}: parent {m['parent_mean']:.4g} "
                   f"change {m['change_mean']:.4g} diff {m['diff_mean']:+.4g} "
