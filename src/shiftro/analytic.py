@@ -201,8 +201,9 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
 
     w_sorted = w_s[rows]
     cum = np.cumsum(w_sorted, axis=1)
-    # same comparison rule as select_eta: first cumulative weight >= alpha * total
-    qualify = cum >= alpha * cum[:, -1:]
+    # select_eta's rule: the first cumulative weight >= alpha * total, less a few ulp
+    level = alpha * cum[:, -1:]
+    qualify = cum >= level - 4 * np.spacing(level)
     first = np.argmax(qualify, axis=1)
     etas = sorted_scores[rows[np.arange(rows.shape[0]), first]]
 

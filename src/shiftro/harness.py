@@ -92,6 +92,8 @@ class ExperimentConfig:
                              f"{self.seed} + {self.replicates} - 1")
         if not (0 <= self.shift < math.inf):
             raise ValueError(f"shift must be finite and nonnegative, got {self.shift!r}")
+        if self.ratio_kind.startswith("kmm") and min(self.n_cal, self.m_ratio) < 2:
+            raise ValueError("KMM requires n_cal and m_ratio of at least 2")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
             raise ValueError("the oracle ratio exists only for the toy scenario")
         if self.shift_kind not in ("covariate", "label"):
@@ -213,15 +215,13 @@ def _fit_ratio(config, fitted: FittedReplicate):
     raise ValueError(kind)
 
 
-def _decide(scenario, box: BoxSet, template: LinearProgram):
-    """Robust decision for one uncertainty box; returns the decision vector.
-
-    ``template`` is the replicate's ``scenario.decision_lp()``.
-    """
+def _decide(scenario, box: BoxSet):
+    """Robust decision for one uncertainty box; returns the decision vector."""
+    template = scenario.decision_lp()
     x_len = template.n
     if isinstance(scenario, KnapsackScenario):
         sol = solve_lp(build_knapsack_lp(scenario, box))
-        x_len = scenario.n_items
+        x_len = scenario.n_cost
     elif isinstance(scenario, GridScenario):
         # For x >= 0 the box worst case is the upper corner, so the robust
         # program reduces to a plain network LP and keeps integral vertices.
@@ -298,11 +298,10 @@ def evaluate(fitted: FittedReplicate, eta: float, config: ExperimentConfig) -> R
     var_rng = RngStream(seed, 6)
     boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, fitted.f, fitted.h, eta)
     covered = box_hits(eval_data.C, boxes)
-    template = _stage("decide", scenario.decision_lp)
     conservative = np.zeros(eval_data.n, dtype=bool)
     var_vals = np.zeros(eval_data.n)
     for i in range(eval_data.n):
-        x = _stage("decide", _decide, scenario, boxes.row(i), template)
+        x = _stage("decide", _decide, scenario, boxes.row(i))
         conservative[i] = bool(np.max(np.abs(x)) <= 1e-9)
         var_vals[i] = _stage("empirical-var", empirical_var, x, eval_data.Z[i], scenario,
                              alpha, config.n_mc_var, var_rng)

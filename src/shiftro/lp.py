@@ -16,16 +16,17 @@ The box-robust counterpart writes its 2n bound rows so that the crash covers
 each of them, feasibly, at the solver's start point. The robust LPs of the
 toy, simple and knapsack worlds therefore start feasible and skip phase 1.
 Everything of a robust LP but its 2n box entries depends on the template
-alone, so a template builds that layout once, with read-only arrays, and
-each box copies its skeleton A, writes and checks those entries, and skips
-the checks the layout already passed. The part of the solver's start that
-the bounds alone set (start point, column states, extended bounds) is one
-read-only tuple per LP, and every robust LP of a template shares the
-template's; the solver copies only what it writes. When neither phase
-pivots or flips a bound, the basis is still the diagonal crash basis and
-its start values are the solution, so x is read off them without the final
-solve (bit for bit what that solve gives); about 80 % of the benchmark's
-toy and simple robust LPs, and over 90 % of its knapsack ones, end so.
+alone, so a template builds that layout once, as a checked, read-only
+skeleton LP, and each box copies the skeleton's A, writes and checks those
+entries, and skips the checks the skeleton already passed. The part of the
+solver's start that the bounds alone set (start point, column states,
+extended bounds) is one read-only tuple per LP, and every robust LP of a
+template shares the skeleton's; the solver copies only what it writes.
+When neither phase pivots or flips a bound, the basis is still the diagonal
+crash basis and its start values are the solution, so x is read off them
+without the final solve (bit for bit what that solve gives); about 80 % of
+the benchmark's toy and simple robust LPs, and over 90 % of its knapsack
+ones, end so.
 These LPs are small, so numpy call overhead, not arithmetic, sets their
 cost: with one BLAS thread on a 2-vCPU VM, a toy robust LP (4 variables, 2
 rows) on a replicate's own boxes takes about 0.012 ms to build and 0.07 ms
@@ -121,12 +122,12 @@ class LinearProgram:
 
     @cached_property
     def _robust_layout(self) -> tuple:
-        """``(keep_u, box_at, c, A, b, lo, hi)``: what ``robustify_box`` builds
-        from this LP alone, built on first use and kept. Row m + j keeps u_j
-        where keep_u_j, else l_j, and each box writes its 2n entries, at
-        ``box_at``, into its own copy of the skeleton A. The arrays are
-        read-only, since every robust LP of this template shares c, b and the
-        bounds."""
+        """``(keep_u, box_at, skeleton)``: what ``robustify_box`` builds from
+        this LP alone, built on first use and kept. Row m + j keeps u_j where
+        keep_u_j, else l_j, and each box writes its 2n entries, at ``box_at``,
+        into its own copy of ``skeleton.A``. The skeleton is a checked,
+        read-only LP whose start is read here, so every robust LP of this
+        template shares its c, b, bounds and start."""
         n, m = self.n, self.m
         keep_u = self._start[0][:n] >= 0.0
         j = np.arange(n)
@@ -140,24 +141,16 @@ class LinearProgram:
         A[diff_row, kept_slack] = 1.0
         A[diff_row, other_slack] = -1.0
         box_at = (np.concatenate([t_row, diff_row]), np.concatenate([j, j]))
-        b = np.zeros(m + 2 * n)
-        b[:m] = self.b
+        for a in (keep_u, *box_at):
+            a.flags.writeable = False
         c = np.zeros(4 * n)
         c[n:2 * n] = 1.0
-        lo = np.zeros(4 * n)
-        lo[:n] = self.lo
-        lo[n:2 * n] = -np.inf
-        hi = np.full(4 * n, np.inf)
-        hi[:n] = self.hi
-        for a in (keep_u, *box_at, c, A, b, lo, hi):
-            a.flags.writeable = False
-        return keep_u, box_at, c, A, b, lo, hi
-
-    @cached_property
-    def _robust_start(self) -> tuple:
-        """The ``_start`` that every robust LP of this template shares."""
-        *_, lo, hi = self._robust_layout
-        return _bound_start(lo, hi, self.m + 2 * self.n)
+        skeleton = LinearProgram(c, A, np.concatenate([self.b, np.zeros(2 * n)]),
+                                 np.concatenate([self.lo, np.full(n, -np.inf),
+                                                 np.zeros(2 * n)]),
+                                 np.concatenate([self.hi, np.full(3 * n, np.inf)]))
+        skeleton._start
+        return keep_u, box_at, skeleton
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -199,14 +192,6 @@ class BoxSet:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    def contains(self, c) -> bool:
-        v = np.atleast_1d(np.asarray(c, dtype=float))
-        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
     def row(self, i) -> BoxSet:
         """Row i of a block box (one box per row) as a box of its own.
@@ -443,29 +428,27 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     starts basic, at k_j x0_j and at (k_j - o_j) x0_j >= 0.
 
     Everything but the 2n entries -k_j and k_j - o_j depends on p alone, so
-    p builds it once (``LinearProgram._robust_layout``), and each box copies
-    the skeleton A and writes those entries. The rest was checked when p
-    built it, so only the written entries are checked again (k_j - o_j may
-    overflow), and the LP shares p's robust start.
+    p builds it once as a skeleton LP (``LinearProgram._robust_layout``), and
+    each box copies the skeleton's A and writes those entries. The rest was
+    checked when the skeleton was built, so only the written entries are
+    checked (an infinite bound or an overflowed k_j - o_j leaves one of them
+    not finite), and the LP shares the skeleton's c, b, bounds and start.
     """
-    n = p.n
-    if box.dim != n:
-        raise ValueError(f"box dimension {box.dim} != {n} variables")
-    if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
-        raise ValueError("robust reformulation requires a finite box")
-    keep_u, box_at, c, A, b, lo, hi = p._robust_layout
+    if box.dim != p.n:
+        raise ValueError(f"box dimension {box.dim} != {p.n} variables")
+    keep_u, box_at, skeleton = p._robust_layout
     kept = np.where(keep_u, box.upper, box.lower)
-    with np.errstate(over="ignore"):     # an overflowed entry is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
         entries = np.concatenate([-kept, kept - np.where(keep_u, box.lower, box.upper)])
     if not np.isfinite(entries).all():
-        raise ValueError("the box is too wide: its robust rows must be finite")
-    A = A.copy()
+        raise ValueError("robust reformulation requires a finite box and finite rows")
+    A = skeleton.A.copy()
     A[box_at] = entries
     A.flags.writeable = False
     r = object.__new__(LinearProgram)
-    for name, value in (("c", c), ("A", A), ("b", b), ("lo", lo), ("hi", hi),
-                        ("_start", p._robust_start)):
-        object.__setattr__(r, name, value)
+    object.__setattr__(r, "A", A)
+    for name in ("c", "b", "lo", "hi", "_start"):
+        object.__setattr__(r, name, getattr(skeleton, name))
     return r
 
 

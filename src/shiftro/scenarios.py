@@ -9,9 +9,9 @@
 
 Each world states its law once: a covariate draw, a noise draw and a block
 cost map, which ``sample`` and ``sample_costs_given`` share. Each also names
-its decision LP (``decision_lp``) and the map from cost rows to that LP's
-objective coefficients (``lp_costs``). Generators are deterministic given
-(scenario, RngStream, phase, n).
+its decision LP (``decision_lp``, built once per world) and the map from cost
+rows to that LP's objective coefficients (``lp_costs``). Generators are
+deterministic given (scenario, RngStream, phase, n).
 """
 
 from __future__ import annotations
@@ -84,7 +84,14 @@ class _World:
         return self._costs(z, self._noise(n_mc, rng, phase))
 
     def decision_lp(self) -> LinearProgram:
-        """min c*x over -1 <= x <= 1 (objective filled by the robust layer)."""
+        """The world's decision LP, built once per world, so that each row's
+        robust LP starts from its cached layout (the objective is filled by
+        the robust layer)."""
+        return self._decision_lp
+
+    @cached_property
+    def _decision_lp(self) -> LinearProgram:
+        """min c*x over -1 <= x <= 1."""
         return LinearProgram(c=[0.0], A=np.zeros((0, 1)), b=[],
                              lo=[-1.0], hi=[1.0])
 
@@ -176,25 +183,22 @@ class GridScenario(_GaussianCovariates):
 
     def __post_init__(self):
         super().__post_init__()
-        theta = RngStream(self.theta_seed, 900).bernoulli(0.5, size=(self.n_edges, self.d))
+        theta = RngStream(self.theta_seed, 900).bernoulli(0.5, size=(self.n_cost, self.d))
         object.__setattr__(self, "theta", theta)
 
     @property
-    def n_edges(self) -> int:
+    def n_cost(self) -> int:
         return len(GRID_EDGES)
 
-    @property
-    def n_cost(self) -> int:
-        return self.n_edges
-
     def _noise(self, n, rng, phase):
-        return rng.uniform(0.75, 1.25, size=(n, self.n_edges))
+        return rng.uniform(0.75, 1.25, size=(n, self.n_cost))
 
     def _costs(self, Z, noise):
         base = (_rowwise_matvec(self.theta, Z) / np.sqrt(self.d) + 3.0) ** 5 + 1.0
         return np.maximum(base * noise, GRID_COST_FLOOR)
 
-    def decision_lp(self) -> LinearProgram:
+    @cached_property
+    def _decision_lp(self) -> LinearProgram:
         return build_shortest_path_lp(self)
 
     def lp_costs(self, C):
@@ -267,12 +271,8 @@ class KnapsackScenario(_GaussianCovariates):
         object.__setattr__(self, "budget", KNAPSACK_BUDGET_FRACTION * float(prices.sum()))
 
     @property
-    def n_items(self) -> int:
-        return KNAPSACK_ITEMS
-
-    @property
     def n_cost(self) -> int:
-        return self.n_items
+        return KNAPSACK_ITEMS
 
     def _noise(self, n, rng, phase):
         return rng.uniform(0.8, 1.2, size=(n, KNAPSACK_ITEMS))
@@ -280,15 +280,10 @@ class KnapsackScenario(_GaussianCovariates):
     def _costs(self, Z, noise):
         return _rowwise_matvec(self.theta, Z) ** 2 * noise
 
-    def decision_lp(self) -> LinearProgram:
-        """min 0'x s.t. p'x + slack = B, 0 <= x <= 1, slack >= 0 (the
-        objective is filled by the robust layer). One LP per scenario, so
-        that each row's robust LP starts from its cached layout."""
-        return self._decision_lp
-
     @cached_property
     def _decision_lp(self) -> LinearProgram:
-        k = self.n_items
+        """min 0'x s.t. p'x + slack = B, 0 <= x <= 1, slack >= 0."""
+        k = self.n_cost
         A = np.hstack([self.prices[None, :], np.ones((1, 1))])
         return LinearProgram(c=np.zeros(k + 1), A=A, b=[self.budget],
                              lo=np.zeros(k + 1), hi=np.concatenate([np.ones(k), [np.inf]]))
@@ -304,8 +299,8 @@ def build_knapsack_lp(scn: KnapsackScenario, utility_box: BoxSet) -> LinearProgr
     The utility box [l, u] maps to the objective-coefficient box [-u, -l];
     the budget slack costs nothing.
     """
-    if utility_box.dim != scn.n_items:
-        raise ValueError(f"box dimension {utility_box.dim} != {scn.n_items} items")
+    if utility_box.dim != scn.n_cost:
+        raise ValueError(f"box dimension {utility_box.dim} != {scn.n_cost} items")
     coeff = BoxSet(np.append(scn.lp_costs(utility_box.upper), 0.0),
                    np.append(scn.lp_costs(utility_box.lower), 0.0))
     return robustify_box(scn.decision_lp(), coeff)

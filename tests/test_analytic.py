@@ -176,6 +176,16 @@ class TestExactCoverage:
             slow = exact_coverage_reference(world, 5, alpha, wts)
             assert fast == pytest.approx(slow, abs=1e-12)
 
+    def test_matches_select_eta_a_few_ulp_short(self):
+        # 0.75 * 0.8 reads 0.6000000000000001, a few ulp above the cumulative
+        # weight 0.3 + 0.3 of two draws of the first point: select_eta takes
+        # that draw's score, and so must the oracle
+        world = DiscreteWorld(C=[1.0, 2.0, 3.0], Z=np.zeros(3), p=[0.3, 0.3, 0.4],
+                              q=[0.2, 0.3, 0.5])
+        wts = [0.3, 0.2, 0.6]
+        assert exact_coverage(world, 3, 0.75, wts) == pytest.approx(
+            exact_coverage_reference(world, 3, 0.75, wts), abs=1e-12)
+
     def test_exchangeable_uniform_band(self):
         world = DiscreteWorld(C=[0.5, 1.0, 1.5, 2.0], Z=np.zeros(4),
                               p=[0.25] * 4, q=[0.25] * 4)

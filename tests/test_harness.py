@@ -408,6 +408,11 @@ class TestCli:
         pytest.param({"out": ""}, id="out=empty"),
         # a seed keys a 64-bit stream
         pytest.param({"seed": 2**64}, id="seed=2**64"),
+        # KMM needs two samples on each side: refused before f and h are fit
+        pytest.param({"ratio_kind": "kmm-cov", "n_cal": 1}, id="kmm-cov,n_cal=1"),
+        pytest.param({"ratio_kind": "kmm-cov", "m_ratio": 1}, id="kmm-cov,m_ratio=1"),
+        pytest.param({"ratio_kind": "kmm-label", "n_cal": 1}, id="kmm-label,n_cal=1"),
+        pytest.param({"ratio_kind": "kmm-label", "m_ratio": 1}, id="kmm-label,m_ratio=1"),
     ], ids=lambda bad: ",".join(bad))
     def test_bad_field_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from shiftro import lp
+from shiftro.conformal import box_hits
 from shiftro.harness import ExperimentConfig, make_scenario
 from shiftro.lp import (_AT_HI, _AT_LO, _BASIC, _FREE0, _MAX_PIVOTS, _REFACTOR_EVERY,
                         FEAS_TOL, INFEASIBLE, OPT_TOL, OPTIMAL, PIVOT_TOL, UNBOUNDED,
@@ -104,7 +105,7 @@ class TestSolveLp:
                 getattr(p, name).flat[0] = 5.0
         # the caller's writeable arrays were copied, so writing them later
         # leaves the LP (and its cached robust layout) as built
-        layout_A = p._robust_layout[3]
+        layout_A = p._robust_layout[2].A
         c[0], A[0, 0], b[0] = 5.0, 5.0, 5.0
         assert p.c[0] == 1.0 and p.A[0, 0] == 1.0 and p.b[0] == 1.0
         assert layout_A[0, 0] == 1.0
@@ -245,6 +246,17 @@ class TestRobustifyBox:
             with pytest.raises(ValueError, match="finite"):
                 robustify_box(template, BoxSet([-1.7e308], [1.7e308]))
 
+    @pytest.mark.parametrize("lower,upper", [(-np.inf, 1.0), (0.0, np.inf),
+                                             (-np.inf, -np.inf)])
+    def test_infinite_box_rejected(self, lower, upper):
+        # an infinite bound leaves an entry infinite or NaN (-inf - -inf):
+        # a ValueError, with no numpy warning before it
+        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                robustify_box(template, BoxSet([lower], [upper]))
+
     def test_worst_case_dominates_center(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -375,18 +387,36 @@ class TestCachedLayout:
         for box, r in zip(boxes, built):
             _assert_same_lp(r, _plain_robust(p, box))
         # the skeleton still reads 0 where each box writes
-        _, box_at, _, skeleton, _, _, _ = layout
-        assert (skeleton[box_at] == 0.0).all()
-        assert np.array_equal(skeleton, _plain_robust(p, boxes[-1]).A)  # -0.0 == 0.0
+        _, box_at, skeleton = layout
+        assert (skeleton.A[box_at] == 0.0).all()
+        assert np.array_equal(skeleton.A, _plain_robust(p, boxes[-1]).A)  # -0.0 == 0.0
 
     def test_cached_arrays_are_read_only(self):
         p = LinearProgram(np.zeros(2), [[1.0, 1.0]], [1.0], 0.0, 1.0)
         r = robustify_box(p, BoxSet([-1.0, 0.0], [1.0, 2.0]))
-        keep_u, box_at, *arrays = p._robust_layout
-        for a in [keep_u, *box_at, *arrays, r.c, r.A, r.b, r.lo, r.hi]:
+        keep_u, box_at, skeleton = p._robust_layout
+        for a in [keep_u, *box_at, skeleton.c, skeleton.A, skeleton.b, skeleton.lo,
+                  skeleton.hi, r.c, r.A, r.b, r.lo, r.hi]:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
-        assert not np.shares_memory(r.A, p._robust_layout[3])   # each box's own A
+        assert not np.shares_memory(r.A, skeleton.A)   # each box's own A
+
+    def test_boxes_share_all_but_their_own_A(self):
+        p = LinearProgram(np.zeros(3), [[1.0, 2.0, -1.0]], [0.5], [-1.0, 0.0, -np.inf],
+                          [1.0, 2.0, 1.0])
+        rng = np.random.default_rng(13)
+        built = [robustify_box(p, BoxSet(*np.sort(rng.normal(size=(2, 3)), axis=0)))
+                 for _ in range(4)]
+        skeleton = p._robust_layout[2]
+        for r in built:
+            # exactly these six, so no layout cached on the skeleton reaches r
+            assert set(vars(r)) == {"c", "A", "b", "lo", "hi", "_start"}
+            for name in ("c", "b", "lo", "hi", "_start"):
+                assert getattr(r, name) is getattr(skeleton, name), name
+            assert not r.A.flags.writeable
+            assert not np.shares_memory(r.A, skeleton.A)
+        for r, other in combinations(built, 2):
+            assert not np.shares_memory(r.A, other.A)
 
     @pytest.mark.parametrize("template", ["toy", "three-by-one"])
     def test_solve_robust_box_is_the_sliced_solve(self, template):
@@ -423,7 +453,7 @@ class TestSharedStart:
             p = LinearProgram(rng.normal(size=n), rng.normal(size=(m, n)),
                               rng.normal(size=m), lo, hi)
             r = robustify_box(p, BoxSet(*np.sort(rng.normal(size=(2, n)), axis=0)))
-            assert r._start is p._robust_start
+            assert r._start is p._robust_layout[2]._start
             fresh = LinearProgram(r.c, r.A, r.b, r.lo, r.hi)
             assert "_start" not in vars(fresh)        # computed on first use
             for got, want in zip(r._start, fresh._start, strict=True):
@@ -449,9 +479,9 @@ class TestSharedStart:
 
 class TestBoxSet:
     def test_contains(self):
-        box = BoxSet([0.0, -1.0], [1.0, 1.0])
-        assert box.contains([0.5, 0.0])
-        assert not box.contains([0.5, 2.0])
+        # containment is conformal.box_hits, one row per box of a block
+        box = BoxSet([[0.0, -1.0], [0.0, -1.0]], [[1.0, 1.0], [1.0, 1.0]])
+        assert box_hits([[0.5, 0.0], [0.5, 2.0]], box).tolist() == [True, False]
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -473,7 +503,7 @@ class TestBoxSet:
 
     def test_infinite_bounds_allowed_for_membership(self):
         box = BoxSet([-np.inf], [np.inf])
-        assert box.contains([1e12])
+        assert box_hits([[1e12]], BoxSet([[-np.inf]], [[np.inf]])).all()
         with pytest.raises(ValueError):
             robustify_box(LinearProgram([0.0], np.zeros((0, 1)), [], [0.0], [1.0]),
                           box)
@@ -723,8 +753,8 @@ class TestAgainstReference:
         scn = make_scenario(ExperimentConfig(scenario="knapsack", d=10, seed=0))
         rng = np.random.default_rng(5)
         for _ in range(40):
-            upper = rng.uniform(0.5, 4.0, scn.n_items)
-            box = BoxSet(upper - rng.uniform(0, 1, scn.n_items), upper)
+            upper = rng.uniform(0.5, 4.0, scn.n_cost)
+            box = BoxSet(upper - rng.uniform(0, 1, scn.n_cost), upper)
             p = build_knapsack_lp(scn, box)
             want = _ref_solve_lp(p)
             assert want.status == OPTIMAL
@@ -738,8 +768,8 @@ class TestAgainstReference:
         scn = make_scenario(ExperimentConfig(scenario="knapsack", d=10, seed=0))
         rng = np.random.default_rng(9)
         for _ in range(12):
-            upper = rng.uniform(0.5, 4.0, scn.n_items)
-            box = BoxSet(upper - rng.uniform(0, 1, scn.n_items), upper)
+            upper = rng.uniform(0.5, 4.0, scn.n_cost)
+            box = BoxSet(upper - rng.uniform(0, 1, scn.n_cost), upper)
             base = build_knapsack_lp(scn, box)
             mix = np.eye(base.m) + rng.uniform(0.0, 1.0, (base.m, base.m)) / base.m
             p = LinearProgram(base.c, mix @ base.A, mix @ base.b, base.lo, base.hi)
@@ -764,7 +794,7 @@ class TestAgainstReference:
         template = scn.decision_lp()
         rng = np.random.default_rng(6)
         for _ in range(30):
-            costs = scn.lp_costs(rng.uniform(0.5, 3.0, scn.n_edges))
+            costs = scn.lp_costs(rng.uniform(0.5, 3.0, scn.n_cost))
             p = LinearProgram(costs, template.A, template.b, template.lo, template.hi)
             _assert_same_solution(solve_lp(p), _ref_solve_lp(p))
 

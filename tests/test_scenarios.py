@@ -88,7 +88,7 @@ class TestSimpleScenario:
 class TestGridScenario:
     def test_counts(self):
         scn = GridScenario()
-        assert scn.n_edges == 40
+        assert scn.n_cost == 40
         assert scn.theta.shape == (40, 10)
         assert set(np.unique(scn.theta)) <= {0.0, 1.0}
 
@@ -249,3 +249,13 @@ def test_cost_draws_match_per_draw_reference():
 def test_cost_draws_reject_unknown_phase(scn):
     with pytest.raises(ValueError, match="phase"):
         scn.sample_costs_given(np.zeros(scn.d), 5, RngStream(20), phase="bogus")
+
+
+@pytest.mark.parametrize("scn", [ToyScenario(), SimpleScenario(), GridScenario(),
+                                 KnapsackScenario()],
+                         ids=["toy", "simple", "grid", "knapsack"])
+def test_decision_lp_is_built_once_per_world(scn):
+    # every row's robust LP then starts from the one template's cached layout
+    template = scn.decision_lp()
+    assert scn.decision_lp() is template
+    assert type(scn)().decision_lp() is not template
