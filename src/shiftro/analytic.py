@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .numerics import normal_cdf, normal_quantile
+from .numerics import alpha_level, normal_cdf, normal_quantile
 from .scenarios import TEST
 
 OODRO = "oodro"
@@ -201,10 +201,8 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
 
     w_sorted = w_s[rows]
     cum = np.cumsum(w_sorted, axis=1)
-    # select_eta's rule: the first cumulative weight >= alpha * total, less a few ulp
-    level = alpha * cum[:, -1:]
-    qualify = cum >= level - 4 * np.spacing(level)
-    first = np.argmax(qualify, axis=1)
+    # select_eta's rule: the first cumulative weight that reaches alpha_level
+    first = np.argmax(cum >= alpha_level(cum[:, -1:], alpha), axis=1)
     etas = sorted_scores[rows[np.arange(rows.shape[0]), first]]
 
     # coverage of a fresh q-draw: q-mass of support scores <= eta

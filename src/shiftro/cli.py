@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
 import numpy as np
 
-from .harness import ExperimentConfig, RATIO_KINDS, emit_report, run_pipeline
+from .harness import CHOICES, ExperimentConfig, emit_report, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shift-robust contextual LP experiments with calibrated "
                     "box uncertainty sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("toy", "simple", "shortest-path", "knapsack"):
+    for name in CHOICES["scenario"]:
         # every dest but --config's is an ExperimentConfig field; the toy
         # world alone is one-dimensional and alone has a label shift
         p = sub.add_parser(name, help=f"run the {name} experiment")
@@ -39,18 +40,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--shift", type=float)
         if name == "toy":
-            p.add_argument("--shift-kind", choices=("covariate", "label"))
+            p.add_argument("--shift-kind", choices=CHOICES["shift_kind"])
         else:
             p.add_argument("--d", type=int)
-        p.add_argument("--ratio", dest="ratio_kind", choices=RATIO_KINDS)
+        p.add_argument("--ratio", dest="ratio_kind", choices=CHOICES["ratio_kind"])
         p.add_argument("--replicates", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--out", type=str)
-        p.add_argument("--format", choices=("csv", "json", "svg"))
+        p.add_argument("--format", choices=CHOICES["format"])
         p.add_argument("--config", type=str,
                        help="JSON file mirroring ExperimentConfig field-for-field")
-        p.add_argument("--mean-kind", choices=("ridge", "mlp"))
-        p.add_argument("--quantile-kind", choices=("linear", "mlp"))
+        p.add_argument("--mean-kind", choices=CHOICES["mean_kind"])
+        p.add_argument("--quantile-kind", choices=CHOICES["quantile_kind"])
         p.add_argument("--n-eval", type=int)
     sub.add_parser("selftest", help="quick internal consistency checks")
     return parser
@@ -140,6 +141,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = None if args.command == "selftest" else _config_from_args(args)
+        # every path emit_report writes lies in out's directory
+        if config and config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
+            raise ValueError(f"the directory of out {config.out!r} does not exist")
     except SystemExit:    # --help, after printing the usage
         return 0
     except (ValueError, OSError, KeyError, TypeError) as exc:

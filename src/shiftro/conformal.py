@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import BoxSet
-from .predictors import Dataset
+from .numerics import alpha_level
+from .predictors import Dataset, compute_residuals
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibS
     """
     if d2.n == 0:
         raise ValueError("calibration set must be nonempty")
-    resid = np.abs(d2.C - mean_model.predict(d2.Z))
+    resid = np.abs(compute_residuals(d2, mean_model))
     widths = quantile_model.predict(d2.Z)
     if resid.shape != widths.shape:
         raise ValueError("mean and quantile models disagree on the cost dimension")
@@ -59,15 +60,16 @@ def select_eta(scores: CalibScores, alpha: float) -> float:
     """Smallest calibration score whose weighted empirical coverage reaches alpha.
 
     Sorts scores ascending, accumulates their weights, and returns the first
-    score whose cumulative weight reaches alpha of the total or falls short by a
-    few ulp (as in ``empirical_var``: 0.55 * 100 reads 55.000000000000007).
+    score whose cumulative weight reaches ``alpha_level`` of the total.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     order = np.argsort(scores.scores, kind="stable")
-    cum = np.cumsum(scores.weights[order])
-    level = alpha * cum[-1]
-    return float(scores.scores[order[np.searchsorted(cum, level - 4 * np.spacing(level))]])
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(scores.weights[order])
+    if not np.isfinite(cum[-1]):
+        raise ValueError("the weight sum overflows a float")
+    return float(scores.scores[order[np.searchsorted(cum, alpha_level(cum[-1], alpha))]])
 
 
 def uncertainty_box(z, mean_model, quantile_model, eta: float) -> BoxSet:

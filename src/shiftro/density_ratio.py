@@ -27,8 +27,9 @@ class RatioModel:
     fit_indices = None  # rows of the fit sample where the weights exist; None: everywhere
 
     def __init__(self, w_lo: float, w_hi: float):
-        if not (0.0 < w_lo <= w_hi):
-            raise ValueError(f"clip bounds must satisfy 0 < lo <= hi, got ({w_lo}, {w_hi})")
+        if not (0.0 < w_lo <= w_hi and w_lo < np.inf):
+            raise ValueError(f"clip bounds must satisfy 0 < lo <= hi with a finite lo, "
+                             f"got ({w_lo}, {w_hi})")
         self.w_lo = float(w_lo)
         self.w_hi = float(w_hi)
 

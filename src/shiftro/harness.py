@@ -25,14 +25,18 @@ from .conformal import (box_hits, calib_scores, empirical_coverage, select_eta,
 from .density_ratio import (GaussianOracleRatio, fit_classifier_ratio, fit_kmm_covariate,
                             fit_kmm_label, trivial_ratio)
 from .lp import OPTIMAL, BoxSet, LinearProgram, solve_lp, solve_robust_box
-from .numerics import RngStream
+from .numerics import RngStream, alpha_level
 from .predictors import Dataset, Predictor, compute_residuals, fit_mean, fit_quantile
 from . import analytic
 from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScenario,
                         ToyScenario, build_knapsack_lp, trace_path)
 
-SCENARIOS = ("toy", "simple", "shortest-path", "knapsack")
-RATIO_KINDS = ("trivial", "cls-linear", "cls-mlp", "kmm-cov", "kmm-label", "oracle")
+# each config choice's allowed values; the CLI offers exactly these
+CHOICES = {"scenario": ("toy", "simple", "shortest-path", "knapsack"),
+           "ratio_kind": ("trivial", "cls-linear", "cls-mlp", "kmm-cov", "kmm-label",
+                          "oracle"),
+           "shift_kind": ("covariate", "label"), "mean_kind": ("ridge", "mlp"),
+           "quantile_kind": ("linear", "mlp"), "format": ("csv", "json", "svg")}
 
 
 class PipelineError(RuntimeError):
@@ -70,10 +74,9 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.ratio_kind not in RATIO_KINDS:
-            raise ValueError(f"unknown ratio kind {self.ratio_kind!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("alpha", "shift", "sigma1", "sigma2", "clip_lo", "clip_hi"):
             # bool is a number in Python, but JSON's true is not a shift or a bound
             if isinstance(getattr(self, name), bool):
@@ -96,8 +99,6 @@ class ExperimentConfig:
             raise ValueError("KMM requires n_cal and m_ratio of at least 2")
         if self.ratio_kind == "oracle" and self.scenario != "toy":
             raise ValueError("the oracle ratio exists only for the toy scenario")
-        if self.shift_kind not in ("covariate", "label"):
-            raise ValueError(f"unknown shift kind {self.shift_kind!r}")
         if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
             raise ValueError("sigma1 and sigma2 must be positive and finite")
         if self.scenario == "toy" and self.d is not None:
@@ -105,15 +106,9 @@ class ExperimentConfig:
         if self.scenario != "toy" and (self.shift_kind, self.sigma1, self.sigma2) != (
                 "covariate", 1.0, 1.0):
             raise ValueError("shift_kind, sigma1 and sigma2 apply to the toy scenario only")
-        if self.mean_kind not in ("ridge", "mlp"):
-            raise ValueError(f"unknown mean model kind {self.mean_kind!r}")
-        if self.quantile_kind not in ("linear", "mlp"):
-            raise ValueError(f"unknown quantile model kind {self.quantile_kind!r}")
-        if not (0.0 < self.clip_lo <= self.clip_hi):
-            raise ValueError(f"clip bounds must satisfy 0 < clip_lo <= clip_hi, "
-                             f"got ({self.clip_lo}, {self.clip_hi})")
-        if self.format not in ("csv", "json", "svg"):
-            raise ValueError(f"unknown format {self.format!r}")
+        if not (0.0 < self.clip_lo <= self.clip_hi and self.clip_lo < math.inf):
+            raise ValueError(f"clip bounds must satisfy 0 < clip_lo <= clip_hi with a "
+                             f"finite clip_lo, got ({self.clip_lo}, {self.clip_hi})")
         if not (self.out is None or isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a nonempty path or null, got {self.out!r}")
 
@@ -179,16 +174,12 @@ def empirical_var(x, z, scenario, alpha: float, n_mc: int, rng: RngStream) -> fl
 
     Uses the ceil(alpha * n_mc) order statistic (higher interpolation) of
     the objective value at decision x, with costs drawn from the test-phase
-    conditional law at z. A product within a few ulp above an integer counts
-    as that integer: 0.55 * 100 reads 55.000000000000007 in floating point,
-    and its ceiling would pick the 56th of 100 draws.
+    conditional law at z; the product alpha * n_mc is read as ``alpha_level``.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     draws = scenario.sample_costs_given(np.asarray(z, dtype=float), n_mc, rng, TEST)
     vals = np.sort(scenario.lp_costs(draws) @ xv)
-    level = alpha * n_mc
-    k = math.ceil(level - 4 * math.ulp(level))
-    return float(vals[k - 1])
+    return float(vals[math.ceil(alpha_level(n_mc, alpha)) - 1])
 
 
 def _stage(name, fn, *args, **kwargs):

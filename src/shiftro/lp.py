@@ -24,13 +24,9 @@ extended bounds) is one read-only tuple per LP, and every robust LP of a
 template shares the skeleton's; the solver copies only what it writes.
 When neither phase pivots or flips a bound, the basis is still the diagonal
 crash basis and its start values are the solution, so x is read off them
-without the final solve (bit for bit what that solve gives); about 80 % of
-the benchmark's toy and simple robust LPs, and over 90 % of its knapsack
-ones, end so.
-These LPs are small, so numpy call overhead, not arithmetic, sets their
-cost: with one BLAS thread on a 2-vCPU VM, a toy robust LP (4 variables, 2
-rows) on a replicate's own boxes takes about 0.012 ms to build and 0.07 ms
-to solve.
+without the final solve (bit for bit what that solve gives); most of the
+benchmark's robust LPs end so (``BENCH_shared-start.json`` has the shares).
+These LPs are small, so numpy call overhead, not arithmetic, sets their cost.
 """
 
 from __future__ import annotations

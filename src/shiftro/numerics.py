@@ -37,6 +37,14 @@ def normal_quantile(p) -> float:
     return _STD_NORMAL.inv_cdf(pf)
 
 
+def alpha_level(total, alpha):
+    """alpha * total less a few ulp of it (elementwise): the level an alpha-quantile's
+    cumulative weight or count must reach. The product is inexact: 0.55 * 100
+    reads 55.000000000000007, and the 55th of 100 draws must still count."""
+    level = alpha * total
+    return level - 4 * np.spacing(level)
+
+
 def solve_spd(mat, rhs):
     """Solve M @ x = rhs for symmetric positive definite M via Cholesky.
 

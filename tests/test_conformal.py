@@ -75,6 +75,14 @@ class TestCalibScores:
         with pytest.raises(ValueError):
             calib_scores(d2, _ConstMean(0.0), _ConstWidth(1.0), trivial_ratio(*CLIP))
 
+    def test_cost_block_narrower_than_the_mean_is_rejected(self):
+        # a 1-column cost block used to broadcast against 3-output f and h
+        # and read as scores [5, 5, 5, 5]
+        d2 = Dataset(np.zeros((4, 1)), np.full((4, 1), 5.0))
+        f, h = _ConstMean([0.0, 0.0, 0.0]), _ConstWidth([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="mean model"):
+            calib_scores(d2, f, h, trivial_ratio(*CLIP))
+
 
 class TestSelectEta:
     def test_unit_weights_median_case(self):
@@ -93,6 +101,13 @@ class TestSelectEta:
         assert select_eta(s, 0.55) == 55.0
         assert select_eta(s, 0.8) == 80.0
         assert select_eta(s, 0.555) == 56.0
+
+    def test_overflowing_weight_sum_is_a_value_error(self):
+        # the cumulative sum used to overflow with a numpy warning and then
+        # index one past the end
+        s = CalibScores(np.arange(3.0), np.full(3, 1e308))
+        with pytest.raises(ValueError, match="weight sum"):
+            select_eta(s, 0.8)
 
     def test_heavy_weight_on_largest_score(self):
         s = CalibScores(np.array([1.0, 2.0, 3.0, 4.0]),

@@ -3,6 +3,7 @@ reads exactly zero."""
 
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,13 @@ def test_self_comparison_reads_exactly_zero():
         assert result[name]["diff_mean"] == 0.0
         assert result[name]["diff_se"] == 0.0
         assert result[name]["diff_interval_95"] == [0.0, 0.0]
+
+
+def test_a_tree_without_the_package_fails_even_with_another_shiftro_on_the_path(
+        tmp_path, monkeypatch):
+    # the child used to import whatever shiftro came first, so a missing tree
+    # read as this one and a comparison with it as a zero difference
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(_ROOT / "src"), path])))
+    with pytest.raises(RuntimeError, match="not from"):
+        coverage_ab.score_tree(tmp_path, TINY_TOY, 1, 100)

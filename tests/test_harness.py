@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import shiftro
-from shiftro.cli import _config_from_args, build_parser
+from shiftro.cli import _config_from_args, build_parser, main as cli_main
 from shiftro import harness
-from shiftro.harness import (CSV_COLUMNS, FIT_FIELDS, ExperimentConfig, PipelineError,
-                             Report, ReportRow, calibrate, conservatism_curves_svg,
+from shiftro.density_ratio import trivial_ratio
+from shiftro.harness import (CHOICES, CSV_COLUMNS, FIT_FIELDS, ExperimentConfig,
+                             PipelineError, Report, ReportRow, calibrate,
+                             conservatism_curves_svg,
                              emit_report, empirical_var, evaluate, fit_replicate,
                              run_pipeline, run_replicate, _stage)
 from shiftro.lp import BoxSet, LinearProgram, solve_lp, solve_robust_box
@@ -71,6 +73,13 @@ class TestConfig:
         for seed, replicates in ((top + 1, 1), (top, 2)):
             with pytest.raises(ValueError, match=r"2\*\*64"):
                 ExperimentConfig(seed=seed, replicates=replicates)
+
+    def test_infinite_clip_hi_means_no_upper_clip(self):
+        assert ExperimentConfig(clip_hi=float("inf")).clip_hi == float("inf")
+        assert trivial_ratio(0.05, float("inf")).weights(None, np.zeros(2))[0] == 1.0
+        # an infinite clip_lo is refused by the config and by the ratio model
+        with pytest.raises(ValueError, match="finite lo"):
+            trivial_ratio(float("inf"), float("inf"))
 
     def test_scenario_dimension_defaults(self):
         from shiftro.harness import make_scenario
@@ -401,6 +410,9 @@ class TestCli:
         pytest.param({"sigma1": True}, id="sigma1=true"),
         pytest.param({"clip_hi": True}, id="clip_hi=true"),
         pytest.param({"clip_lo": True}, id="clip_lo=true"),
+        # an infinite clip_lo used to pass, and failed only after every fit
+        pytest.param({"clip_lo": float("inf"), "clip_hi": float("inf")},
+                     id="clip_lo=Infinity"),
         # out is a nonempty path or null: an fd number, a list or "" (which
         # would write report.csv in the working directory) is rejected up front
         pytest.param({"out": 1}, id="out=1"),
@@ -420,6 +432,31 @@ class TestCli:
         res = self._run("toy", "--config", str(cfg))
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr
+
+    def test_out_in_a_missing_directory_is_config_error(self, tmp_path):
+        # this used to run every replicate and then fail to write (exit 2)
+        res = self._run("toy", "--out", str(tmp_path / "missing" / "x.csv"))
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr and "does not exist" in res.stderr
+
+    @pytest.mark.parametrize("field,flag", [
+        ("ratio_kind", "--ratio"), ("shift_kind", "--shift-kind"),
+        ("mean_kind", "--mean-kind"), ("quantile_kind", "--quantile-kind"),
+        ("format", "--format")])
+    def test_every_choice_flag_takes_each_config_choice(self, field, flag, capsys):
+        parser = build_parser()
+        for value in CHOICES[field]:
+            config = _config_from_args(parser.parse_args(["toy", flag, value]))
+            assert getattr(config, field) == value
+        assert cli_main(["toy", flag, "bogus"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_every_scenario_is_a_subcommand(self, capsys):
+        parser = build_parser()
+        for world in CHOICES["scenario"]:
+            assert _config_from_args(parser.parse_args([world])).scenario == world
+        assert cli_main(["bogus"]) == 1
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,config", [
         (("toy", "--d", "3"), None),
@@ -508,9 +545,9 @@ class TestCli:
         assert len(lines) == 2
 
     def test_runtime_error_exit_code(self, tmp_path):
-        # unwritable output path surfaces as a runtime failure
+        # an output path that is a directory passes the config check and
+        # surfaces as a runtime failure when the report is written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(FAST_TOY)))
-        res = self._run("toy", "--config", str(cfg),
-                        "--out", "/nonexistent-dir/x.csv")
+        res = self._run("toy", "--config", str(cfg), "--out", str(tmp_path))
         assert res.returncode == 2

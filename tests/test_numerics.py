@@ -1,12 +1,17 @@
 """Gaussian special functions, SPD solves, and random streams."""
 
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from shiftro.numerics import RngStream, normal_cdf, normal_quantile, solve_spd
+from shiftro.analytic import DiscreteWorld, exact_coverage
+from shiftro.conformal import CalibScores, select_eta
+from shiftro.harness import empirical_var
+from shiftro.numerics import RngStream, alpha_level, normal_cdf, normal_quantile, solve_spd
 
 
 def gauss_cdf_quadrature(x):
@@ -158,3 +163,38 @@ class TestRngStream:
             RngStream(2 ** 64)
         with pytest.raises(ValueError, match="index .*18446744073709551616"):
             RngStream(0, 2 ** 64)
+
+
+class TestAlphaLevel:
+    ALPHAS = ("0.55", "0.56", "0.6", "0.75", "0.8", "0.9")
+
+    def test_eta_and_value_at_risk_take_one_order_statistic(self):
+        class Seq:
+            def sample_costs_given(self, z, n, rng, phase):
+                return np.arange(1.0, n + 1.0)[:, None]
+
+            def lp_costs(self, C):
+                return C
+        for text in self.ALPHAS:
+            alpha = float(text)
+            for n in range(1, 201):
+                k = math.ceil(alpha_level(n, alpha))
+                # the exact decimal product's ceiling, not one draw more
+                assert k == math.ceil(Fraction(text) * n), (text, n)
+                eta = select_eta(CalibScores(np.arange(1.0, n + 1.0), np.ones(n)), alpha)
+                var = empirical_var([1.0], [0.0], Seq(), alpha, n, RngStream(0))
+                assert eta == var == k, (text, n)
+
+    def test_exact_coverage_takes_the_same_order_statistic(self):
+        # two support points with scores 1 < 2 and unit weights: eta is 1 when
+        # at least k of the n draws land on the first point, so the exact
+        # coverage is q0 P(J >= k) + P(J < k) for J ~ Binomial(n, 1/2)
+        world = DiscreteWorld([1.0, 2.0], [0.0, 0.0], [0.5, 0.5], [0.3, 0.7])
+        for text in self.ALPHAS:
+            alpha = float(text)
+            for n in range(1, 20):
+                k = math.ceil(alpha_level(n, alpha))
+                below = sum(math.comb(n, j) for j in range(k)) / 2 ** n
+                want = 0.3 * (1 - below) + below
+                assert exact_coverage(world, n, alpha, np.ones(2)) == pytest.approx(
+                    want, abs=1e-12), (text, n)

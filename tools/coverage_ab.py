@@ -8,8 +8,9 @@ COVERAGE_<label>.json.
 
 Each ``--world`` is a JSON object of ``ExperimentConfig`` fields. For each
 world and each tree, a fresh process that imports ``shiftro`` from the tree's
-``src/`` runs ``harness.fit_replicate``, ``calibrate`` and ``evaluate`` for
-replicates 0..R-1, so it reads only trees that have ``fit_replicate``. Every
+``src/`` (and fails if another ``shiftro`` comes first on its path) runs
+``harness.fit_replicate``, ``calibrate`` and ``evaluate`` for replicates
+0..R-1, so it reads only trees that have ``fit_replicate``. Every
 replicate's f, h and eta are scored on one block of test-law rows drawn from
 stream 7 of the replicate's seed, a stream the pipeline does not draw: total
 coverage, coverage on z1 <= 0 and z1 > 0, the mean box width and eta. Next to
@@ -36,6 +37,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.run import BLAS_THREAD_VARS  # noqa: E402
+
 EVAL_STREAM = 7
 MEASURES = ("coverage_total", "coverage_z1_neg", "coverage_z1_pos", "mean_width", "eta",
             "p_conservative", "mean_var")
@@ -70,8 +74,7 @@ def score_replicates(world: dict, replicates: int, rows: int) -> list:
 
 def score_tree(tree: Path, world: dict, replicates: int, rows: int) -> list:
     """score_replicates in a fresh process that imports shiftro from ``tree``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--score", str(tree),
            "--world", json.dumps(world), "--replicates", str(replicates),
            "--rows", str(rows)]
@@ -117,8 +120,13 @@ def main(argv=None) -> int:
     ap.add_argument("--score", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.score:
-        # the child process: one tree, one world
-        sys.path.insert(0, str(args.score.resolve() / "src"))
+        # the child process: one tree, one world, and no other tree's shiftro
+        src = args.score.resolve() / "src"
+        sys.path.insert(0, str(src))
+        import shiftro
+        where = Path(shiftro.__file__).resolve()
+        if src not in where.parents:
+            raise ImportError(f"shiftro was imported from {where}, not from {src}")
         print(json.dumps(score_replicates(args.world[0], args.replicates, args.rows)))
         return 0
     if not (args.label and args.parent and args.change):
