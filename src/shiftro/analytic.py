@@ -181,6 +181,7 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
     their score-sorted multiset, so the k^n_cal tuples collapse into
     C(k + n_cal - 1, n_cal) multisets carrying multinomial probabilities; the
     test point integrates over q analytically. Guarded to <= 1e6 tuples.
+    Raises ValueError when a draw's weight sum overflows, as select_eta does.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -199,8 +200,10 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
     rows, coefs = _multisets(k, n_cal)        # rows ascending -> scores ascending
     probs = coefs * np.prod(p_s[rows], axis=1)
 
-    w_sorted = w_s[rows]
-    cum = np.cumsum(w_sorted, axis=1)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(w_s[rows], axis=1)
+    if not np.all(np.isfinite(cum[:, -1])):
+        raise ValueError("the weight sum overflows a float")
     # select_eta's rule: the first cumulative weight that reaches alpha_level
     first = np.argmax(cum >= alpha_level(cum[:, -1:], alpha), axis=1)
     etas = sorted_scores[rows[np.arange(rows.shape[0]), first]]

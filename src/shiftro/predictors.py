@@ -7,7 +7,10 @@ The mean MLP trains with full-batch Adam and the linear width with
 subgradient descent (_fit_gradient). The smooth losses train with L-BFGS
 (_fit_lbfgs): the logistic loss of both classifiers, linear and MLP, and
 the width MLP's pinball loss smoothed by a logistic kernel, fitted to |r|
-in units of each column's sd and floored at a fifth of it. Both optimizers see the same flat objective
+in units of each column's sd and floored at a fifth of it. Both smooth
+losses take their softplus as max(t, 0) + log1p(e^-|t|) (_softplus): numpy
+vectorises exp and log1p but not logaddexp, whose scalar loop would be the
+largest cost of either loss. Both optimizers see the same flat objective
 (_flat_objective): the parameters as one vector, and a pass that prices it
 with one loss_and_grad call, which forms each kind's loss and output
 gradient in one branch. Every fitted mean or width model is a Predictor
@@ -133,6 +136,24 @@ def _linear_forward(params, Z, work=None):
     return out, None
 
 
+def _softplus(t, out, tmp):
+    """softplus(t) = log(1 + e^t) into ``out`` as max(t, 0) + log1p(e^-|t|),
+    with ``tmp`` as scratch; ``out`` and ``tmp`` must not alias ``t``.
+
+    The same function as np.logaddexp(0, t), to within 3 ulp, in six ufunc
+    calls: numpy runs exp and log1p as vectorised loops and logaddexp as a
+    scalar libm loop, so on the fits' arrays this is about eight times
+    faster. e^-|t| lies in (0, 1], so nothing overflows, and it underflows
+    only where softplus(t) rounds to max(t, 0).
+    """
+    np.abs(t, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=tmp)
+    np.maximum(t, 0.0, out=out)
+    return np.add(out, tmp, out=out)
+
+
 def _loss_and_grad_out(kind, out, Y, alpha, work):
     """The mean loss and its gradient in ``out``, one branch per kind; the
     gradient G lives in ``work``."""
@@ -157,21 +178,22 @@ def _loss_and_grad_out(kind, out, Y, alpha, work):
     elif kind == "smooth-pinball":
         # alpha*u + b*softplus(-u/b) at bandwidth b = WIDTH_BANDWIDTH; its
         # derivative in out is sigmoid(-u/b) - alpha, and sigmoid(t) is
-        # exp(t - softplus(t)), whose exponent is never positive
+        # exp(t - softplus(t)), whose exponent is never positive. t2 is the
+        # softplus's scratch before it holds alpha*u
         b = WIDTH_BANDWIDTH
         u = np.subtract(Y, out, out=work.array("u", out.shape))
         t2 = work.array("t2", out.shape)
         np.divide(u, -b, out=G)                     # t = -u/b
-        np.logaddexp(0.0, G, out=t1)                # softplus(t)
+        _softplus(G, t1, t2)                        # softplus(t)
         np.multiply(alpha, u, out=t2)
         loss = np.sum(np.add(t2, np.multiply(b, t1, out=u), out=t2)) / n
         np.subtract(G, t1, out=G)
         np.exp(G, out=G)
         np.subtract(G, alpha, out=G)
     elif kind == "logistic":
-        # stable softplus(out) - Y*out
+        # softplus(out) - Y*out; t2 is the softplus's scratch before Y*out
         t2 = work.array("t2", out.shape)
-        np.logaddexp(0.0, out, out=t1)
+        _softplus(out, t1, t2)
         np.multiply(Y, out, out=t2)
         loss = np.sum(np.subtract(t1, t2, out=t1)) / n
         np.negative(out, out=G)

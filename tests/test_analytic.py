@@ -201,6 +201,17 @@ class TestExactCoverage:
                 cov = exact_coverage(world, 8, alpha, world.true_ratio)
                 assert abs(cov - alpha) <= coverage_band(world.true_ratio, 8)
 
+    def test_overflowing_weight_sum_is_a_value_error(self):
+        # the cumulative weights used to overflow with a numpy warning and
+        # read 0.3875; the rule is scale-free, so a power-of-two scale that
+        # stays finite keeps the unit-weight coverage bit for bit
+        world = DiscreteWorld(C=[1.0, 2.0], Z=[0.0, 0.0], p=[0.5, 0.5], q=[0.3, 0.7])
+        unit = exact_coverage(world, 3, 0.8, [1.0, 1.0])
+        assert unit == pytest.approx(0.9125, abs=1e-12)
+        assert exact_coverage(world, 3, 0.8, [2.0 ** 1000, 2.0 ** 1000]) == unit
+        with pytest.raises(ValueError, match="weight sum overflows"):
+            exact_coverage(world, 3, 0.8, [1e308, 1e308])
+
     def test_enumeration_guard(self):
         world = make_spread_world(np.random.default_rng(0))
         with pytest.raises(ValueError):

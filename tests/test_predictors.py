@@ -12,7 +12,7 @@ from shiftro.predictors import (ADAM_STEP, HIDDEN, MAX_HALVINGS, SUBGRADIENT_STE
                                 WIDTH_FLOOR, Dataset, Predictor, compute_residuals,
                                 fit_mean, fit_quantile, loss_and_grad, pinball,
                                 _fit_gradient, _fit_lbfgs, _loss_and_grad_out,
-                                _mlp_init, _Workspace)
+                                _mlp_init, _softplus, _Workspace)
 
 CLIP = (ExperimentConfig.clip_lo, ExperimentConfig.clip_hi)   # default clip
 
@@ -196,6 +196,26 @@ class TestFitQuantile:
             fit_quantile(np.zeros((5, 1)), -np.ones((5, 1)), 0.8, "linear", 0)
 
 
+class TestSoftplus:
+    def test_within_three_ulp_of_logaddexp_without_fp_errors(self):
+        # numpy's SIMD exp and log1p and logaddexp's libm loop round apart by
+        # at most 3 ulp (numpy 2.4, x86-64: of 2e7 uniform draws on [-40, 40],
+        # 11 differ by 3 ulp; this grid's worst point, t = -4.1572, is 2 ulp
+        # from the exact softplus and logaddexp 1). Beyond |t| = 745 e^-|t|
+        # underflows to 0 and both read max(t, 0)
+        tiny, big = 5e-324, np.finfo(float).max
+        ends = np.array([0.0, 1e-300, tiny, big])
+        t = np.concatenate([ends, -ends, np.linspace(-760.0, 760.0, 200_001)])
+        out, tmp = np.empty_like(t), np.empty_like(t)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _softplus(t, out, tmp)
+            want = np.logaddexp(0.0, t)
+        assert got is out
+        np.testing.assert_array_max_ulp(got, want, maxulp=3)
+        assert got[3] == big and got[7] == 0.0
+        assert got[0] == got[4] == np.log(2.0)
+
+
 class TestGradients:
     def test_smooth_pinball_is_finite_far_from_the_kink(self):
         # |u| / b near 5e7: softplus and sigmoid may neither overflow nor warn
@@ -242,8 +262,13 @@ class TestGradients:
 
 
 # The allocating forward/backward pass and training loop as they stood before
-# fits reused one workspace: the reference the workspace version must match
-# bit for bit.
+# fits reused one workspace, with softplus in _softplus's form: the reference
+# the workspace version must match bit for bit.
+
+def _softplus_reference(t):
+    """softplus in _softplus's form, allocating: max(t, 0) + log1p(e^-|t|)."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
 
 def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
     n = Z.shape[0]
@@ -262,12 +287,12 @@ def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
     elif kind == "smooth-pinball":
         b = predictors.WIDTH_BANDWIDTH
         u = Y - out
-        softplus = np.logaddexp(0.0, -u / b)
+        softplus = _softplus_reference(-u / b)
         G = (np.exp(-u / b - softplus) - alpha) / n
         loss = np.sum(alpha * u + b * softplus) / n
     else:
         G = (1.0 / (1.0 + np.exp(-out)) - Y) / n
-        loss = np.sum(np.logaddexp(0.0, out) - Y * out) / n
+        loss = np.sum(_softplus_reference(out) - Y * out) / n
     if "W1" in params:
         dH = (G @ params["W2"].T) * (1.0 - H * H)
         grads = {"W1": Z.T @ dH, "b1": dH.sum(axis=0), "W2": H.T @ G,
