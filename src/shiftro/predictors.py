@@ -15,6 +15,12 @@ largest cost of either loss. Both optimizers see the same flat objective
 with one loss_and_grad call, which forms each kind's loss and output
 gradient in one branch. Every fitted mean or width model is a Predictor
 over its parameter dict.
+
+The MLP's first layer takes its bias in the product [Z | 1] @ [W1; b1],
+which OpenBLAS's gemm forms with the same bits as Z @ W1 + b1 (on two or
+more rows), and faster than the broadcast add; a fit builds the design
+[Z | 1] once. Column sums of two or more columns (_column_sums) run through
+einsum; one column keeps sum(axis=0), which then adds pairwise.
 """
 
 from __future__ import annotations
@@ -108,6 +114,7 @@ class _Workspace:
 
     def __init__(self):
         self._arrays = {}
+        self._design_of = None
 
     def array(self, name, shape, dtype=float):
         a = self._arrays.get(name)
@@ -115,13 +122,21 @@ class _Workspace:
             a = self._arrays[name] = np.empty(shape, dtype)
         return a
 
+    def design(self, Z):
+        """[Z | 1], rebuilt only for another Z object: keyed on identity."""
+        A = self.array("design", (Z.shape[0], Z.shape[1] + 1))
+        if self._design_of is not Z:
+            A[:, :-1], A[:, -1], self._design_of = Z, 1.0, Z
+        return A
+
 
 def _mlp_forward(params, Z, work=None):
     work = _Workspace() if work is None else work
-    n = Z.shape[0]
-    W1, W2 = params["W1"], params["W2"]
-    H = np.matmul(Z, W1, out=work.array("H", (n, W1.shape[1])))
-    np.add(H, params["b1"], out=H)
+    (d, hidden), n = params["W1"].shape, Z.shape[0]
+    W2 = params["W2"]
+    W1b1 = work.array("W1b1", (d + 1, hidden))
+    W1b1[:d], W1b1[d] = params["W1"], params["b1"]
+    H = np.matmul(work.design(Z), W1b1, out=work.array("H", (n, hidden)))
     np.tanh(H, out=H)
     out = np.matmul(H, W2, out=work.array("out", (n, W2.shape[1])))
     np.add(out, params["b2"], out=out)
@@ -164,17 +179,15 @@ def _loss_and_grad_out(kind, out, Y, alpha, work):
         np.subtract(out, Y, out=G)
         loss = 0.5 * np.sum(np.square(G, out=t1)) / n
     elif kind == "pinball":
-        # rho_alpha(Y - out) term by term; its derivative in out has a zero
-        # subgradient on the kink
+        # rho_alpha(u) = u * coef, coef = alpha where u > 0 else alpha - 1
+        # (exactly -(1 - alpha)); its derivative in out is -coef, 0 on the kink
         u = np.subtract(Y, out, out=work.array("u", out.shape))
-        t2 = work.array("t2", out.shape)
-        np.multiply(alpha, np.maximum(u, 0.0, out=t1), out=t1)
-        np.negative(u, out=t2)
-        np.multiply(1.0 - alpha, np.maximum(t2, 0.0, out=t2), out=t2)
-        loss = np.sum(np.add(t1, t2, out=t1)) / n
-        mask = work.array("mask", out.shape, bool)
-        np.multiply(-alpha, np.greater(u, 0, out=mask), out=G)
-        np.add(G, np.multiply(1.0 - alpha, np.less(u, 0, out=mask), out=t1), out=G)
+        mask = np.greater(u, 0, out=work.array("mask", out.shape, bool))
+        G.fill(alpha - 1.0)
+        np.copyto(G, alpha, where=mask)
+        loss = np.sum(np.multiply(u, G, out=t1)) / n
+        np.negative(G, out=G)
+        np.copyto(G, 0.0, where=np.equal(u, 0, out=mask))
     elif kind == "smooth-pinball":
         # alpha*u + b*softplus(-u/b) at bandwidth b = WIDTH_BANDWIDTH; its
         # derivative in out is sigmoid(-u/b) - alpha, and sigmoid(t) is
@@ -223,22 +236,25 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
         out, H = _mlp_forward(params, Z, work)
         loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
         dW2 = H.T @ G
-        db2 = G.sum(axis=0)
+        db2 = _column_sums(G)
         # np.dot, not np.matmul: with one output column (k = 1) matmul runs
         # numpy's own loop for this outer product, dot runs BLAS; same bits
         dH = np.dot(G, params["W2"].T, out=work.array("dH", H.shape))
         slope = np.multiply(H, H, out=work.array("slope", H.shape))
         np.subtract(1.0, slope, out=slope)
         np.multiply(dH, slope, out=dH)
-        # einsum sums the columns of (n, HIDDEN) dH several times faster than
-        # sum(axis=0), with the same bits for two or more columns; G keeps
-        # sum(axis=0), since with one column the two differ in the last bits
-        grads = {"W1": Z.T @ dH, "b1": np.einsum("ij->j", dH), "W2": dW2, "b2": db2}
+        grads = {"W1": Z.T @ dH, "b1": _column_sums(dH), "W2": dW2, "b2": db2}
     else:
         out, _ = _linear_forward(params, Z, work)
         loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
-        grads = {"W": Z.T @ G, "b": G.sum(axis=0)}
+        grads = {"W": Z.T @ G, "b": _column_sums(G)}
     return loss, grads
+
+
+def _column_sums(A):
+    """A.sum(axis=0), by the several times faster einsum when A has two or
+    more columns: both then add each column in row order, to the same bits."""
+    return np.einsum("ij->j", A) if A.shape[1] > 1 else A.sum(axis=0)
 
 
 def _flat_objective(params, Z, Y, kind, alpha):
@@ -263,12 +279,14 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
 
     The parameters, their gradients and the optimizer state each live in one
     flat vector (the parameter dict holds views into it), so a step is a few
-    numpy calls on that vector rather than a few per parameter array.
+    numpy calls on that vector rather than a few per parameter array. Adam
+    forms m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and its step
+    ADAM_STEP mh / (sqrt(vh) + eps) in place, in that order of operations.
     """
     flat, params, evaluate = _flat_objective(params, Z, Y, kind, alpha)
     if optimizer == "adam":
-        m = np.zeros_like(flat)
-        v = np.zeros_like(flat)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        mh, vh = np.empty_like(flat), np.empty_like(flat)
         b1, b2, eps = 0.9, 0.999, 1e-8
     best_loss = np.inf
     best = flat.copy()
@@ -278,11 +296,13 @@ def _fit_gradient(params, Z, Y, kind, alpha, epochs, optimizer="adam"):
             best_loss = loss
             best[:] = flat
         if optimizer == "adam":
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad ** 2
-            mh = m / (1 - b1 ** t)
-            vh = v / (1 - b2 ** t)
-            flat -= ADAM_STEP * mh / (np.sqrt(vh) + eps)
+            np.multiply(m, b1, out=m)
+            m += np.multiply(1 - b1, grad, out=vh)
+            np.multiply(v, b2, out=v)
+            v += np.multiply(1 - b2, np.square(grad, out=vh), out=vh)
+            np.multiply(ADAM_STEP, np.divide(m, 1 - b1 ** t, out=mh), out=mh)
+            np.sqrt(np.divide(v, 1 - b2 ** t, out=vh), out=vh)
+            flat -= np.divide(mh, np.add(vh, eps, out=vh), out=mh)
         else:  # subgradient descent with step decay
             step = SUBGRADIENT_STEP / np.sqrt(1.0 + t / 50.0)
             flat -= step * grad

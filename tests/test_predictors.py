@@ -361,6 +361,15 @@ class TestWorkspace:
     def test_bit_equal_to_allocating_pass_knapsack_shape(self, n, kind, alpha, arch):
         self._check_bit_equal(n, 10, 20, kind, alpha, arch)
 
+    # the benchmark's one-column shapes: the knapsack classifier (10
+    # covariates, one logit) and the toy world's linear width (one covariate)
+    @pytest.mark.parametrize("n", [50, 9000])
+    @pytest.mark.parametrize("d,kind,alpha,arch", [(10, "logistic", 0.5, "mlp"),
+                                                   (1, "pinball", 0.8, "linear")])
+    def test_bit_equal_to_allocating_pass_one_column_shapes(self, n, d, kind, alpha,
+                                                            arch):
+        self._check_bit_equal(n, d, 1, kind, alpha, arch)
+
     @staticmethod
     def _check_bit_equal(n, d, k, kind, alpha, arch):
         Z, Y = _problem(n, d, k, kind)
@@ -388,6 +397,39 @@ class TestWorkspace:
         loss_and_grad(other, -Z, 2 * Y, "mse", 0.5, work)
         for key in kept:
             _assert_same_bits(first[key], kept[key])
+
+    def test_new_covariates_of_the_same_shape_rebuild_the_design(self):
+        # the workspace keeps [Z | 1] for the Z it was built from; a design
+        # kept by shape would price -Z with Z's first layer
+        Z, Y = _problem(200, 3, 2, "mse")
+        params = _mlp_init(3, 16, 2, RngStream(4))
+        work = _Workspace()
+        loss_and_grad(params, Z, Y, "mse", 0.5, work)
+        loss, grads = loss_and_grad(params, -Z, Y, "mse", 0.5, work)
+        want_loss, want = _reference_loss_and_grad(params, -Z, Y, "mse")
+        assert loss == want_loss
+        for key in want:
+            _assert_same_bits(grads[key], want[key])
+
+    def test_pinball_pass_with_signed_zero_residuals(self):
+        # a zero linear model gives out = +0, so u = Y - out holds Y's exact
+        # +0 and -0 entries: the loss, the zero subgradient on the kink and
+        # the parameter gradients keep the reference's bits
+        g = RngStream(3).generator
+        Y = g.normal(size=(1000, 2))
+        Y.flat[::3] = 0.0
+        Y.flat[1::5] = -0.0
+        Z = g.normal(size=(1000, 4))
+        params = {"W": np.zeros((4, 2)), "b": np.zeros(2)}
+        want_loss, want = _reference_loss_and_grad(params, Z, Y, "pinball", 0.8)
+        loss, grads = loss_and_grad(params, Z, Y, "pinball", 0.8)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        for key in want:
+            _assert_same_bits(grads[key], want[key])
+        u = Y - np.zeros_like(Y)
+        assert np.any((u == 0) & np.signbit(u)) and np.any((u == 0) & ~np.signbit(u))
+        _, G = _loss_and_grad_out("pinball", np.zeros_like(Y), Y, 0.8, _Workspace())
+        _assert_same_bits(G, (-0.8 * (u > 0) + (1.0 - 0.8) * (u < 0)) / 1000)
 
     def test_linear_quantile_fit_matches_reference_loop(self, monkeypatch):
         Z, Y = _problem(400, 4, 2, "pinball", seed=7)
