@@ -17,16 +17,11 @@ from math import factorial
 
 import numpy as np
 
-from .numerics import alpha_level, normal_cdf, normal_quantile
+from .numerics import alpha_quantile_index, check_alpha, normal_cdf, normal_quantile
 from .scenarios import TEST
 
 OODRO = "oodro"
 WSBALL = "wsball"
-
-
-def _check_alpha(alpha):
-    if not (0.5 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0.5, 1), got {alpha}")
 
 
 def conditional_test_mean(z, scn) -> float:
@@ -43,7 +38,7 @@ def oracle_toy_decision(z, scn, alpha: float) -> int:
     Branch order is fixed: take +1 when the upper conditional quantile is
     nonpositive, then -1 when the lower one is nonnegative, else 0.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha, 0.5)
     mean = conditional_test_mean(z, scn)
     spread = scn.sigma2 * normal_quantile(alpha)
     if mean + spread <= 0:       # VaR_alpha(c|z) <= 0
@@ -63,7 +58,7 @@ def worst_case_radius(scn) -> float:
 
 def prob_conservative(scn, alpha: float, method: str = OODRO) -> float:
     """P(x* = 0) under the shifted test law for either decision method."""
-    _check_alpha(alpha)
+    check_alpha(alpha, 0.5)
     q = normal_quantile(alpha)
     ratio = scn.sigma2 / scn.sigma1
     s = scn.shift
@@ -183,8 +178,6 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
     test point integrates over q analytically. Guarded to <= 1e6 tuples.
     Raises ValueError when a draw's weight sum overflows, as select_eta does.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     k = world.size
     if k ** n_cal > 1_000_000:
         raise ValueError("enumeration would exceed the 1e6-tuple guard")
@@ -200,12 +193,8 @@ def exact_coverage(world: DiscreteWorld, n_cal: int, alpha: float, weights) -> f
     rows, coefs = _multisets(k, n_cal)        # rows ascending -> scores ascending
     probs = coefs * np.prod(p_s[rows], axis=1)
 
-    with np.errstate(over="ignore"):
-        cum = np.cumsum(w_s[rows], axis=1)
-    if not np.all(np.isfinite(cum[:, -1])):
-        raise ValueError("the weight sum overflows a float")
-    # select_eta's rule: the first cumulative weight that reaches alpha_level
-    first = np.argmax(cum >= alpha_level(cum[:, -1:], alpha), axis=1)
+    # select_eta's rule, on every draw at once
+    first = alpha_quantile_index(w_s[rows], alpha)
     etas = sorted_scores[rows[np.arange(rows.shape[0]), first]]
 
     # coverage of a fresh q-draw: q-mass of support scores <= eta

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .harness import CHOICES, ExperimentConfig, emit_report, run_pipeline
+from .harness import CHOICES, ExperimentConfig, emit_report, report_paths, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,9 +141,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = None if args.command == "selftest" else _config_from_args(args)
-        # every path emit_report writes lies in out's directory
-        if config and config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
-            raise ValueError(f"the directory of out {config.out!r} does not exist")
+        for path in report_paths(config) if config else ():
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"the directory of out {config.out!r} does not exist")
+            if os.path.isdir(path):
+                raise ValueError(f"the report path {path!r} is an existing directory")
     except SystemExit:    # --help, after printing the usage
         return 0
     except (ValueError, OSError, KeyError, TypeError) as exc:

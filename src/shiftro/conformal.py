@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import BoxSet
-from .numerics import alpha_level
+from .numerics import alpha_quantile_index
 from .predictors import Dataset, compute_residuals
 
 
@@ -59,17 +59,11 @@ def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibS
 def select_eta(scores: CalibScores, alpha: float) -> float:
     """Smallest calibration score whose weighted empirical coverage reaches alpha.
 
-    Sorts scores ascending, accumulates their weights, and returns the first
-    score whose cumulative weight reaches ``alpha_level`` of the total.
+    Sorts scores ascending and returns the first score whose cumulative weight
+    reaches ``alpha_level`` of the total (``alpha_quantile_index``).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     order = np.argsort(scores.scores, kind="stable")
-    with np.errstate(over="ignore"):
-        cum = np.cumsum(scores.weights[order])
-    if not np.isfinite(cum[-1]):
-        raise ValueError("the weight sum overflows a float")
-    return float(scores.scores[order[np.searchsorted(cum, alpha_level(cum[-1], alpha))]])
+    return float(scores.scores[order[alpha_quantile_index(scores.weights[order], alpha)]])
 
 
 def uncertainty_box(z, mean_model, quantile_model, eta: float) -> BoxSet:

@@ -21,15 +21,20 @@ KMM_RIDGE = 1e-3        # kmm-label's ridge on the cost Gram matrix, per sample
 KMM_ITERATIONS = 800    # projected-gradient steps of either KMM fit
 
 
+def check_clip(lo, hi):
+    """Raise ValueError unless 0 < lo <= hi with a finite lo (hi may be inf)."""
+    if not (0.0 < lo <= hi and lo < np.inf):
+        raise ValueError(f"clip bounds must satisfy 0 < lo <= hi with a finite lo, "
+                         f"got ({lo}, {hi})")
+
+
 class RatioModel:
     """The trivial ratio w == 1, blind to the shift; other kinds override _raw(C, Z)."""
 
     fit_indices = None  # rows of the fit sample where the weights exist; None: everywhere
 
     def __init__(self, w_lo: float, w_hi: float):
-        if not (0.0 < w_lo <= w_hi and w_lo < np.inf):
-            raise ValueError(f"clip bounds must satisfy 0 < lo <= hi with a finite lo, "
-                             f"got ({w_lo}, {w_hi})")
+        check_clip(w_lo, w_hi)
         self.w_lo = float(w_lo)
         self.w_hi = float(w_hi)
 

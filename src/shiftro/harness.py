@@ -22,10 +22,10 @@ import numpy as np
 
 from .conformal import (box_hits, calib_scores, empirical_coverage, select_eta,
                         uncertainty_box)
-from .density_ratio import (GaussianOracleRatio, fit_classifier_ratio, fit_kmm_covariate,
-                            fit_kmm_label, trivial_ratio)
+from .density_ratio import (GaussianOracleRatio, check_clip, fit_classifier_ratio,
+                            fit_kmm_covariate, fit_kmm_label, trivial_ratio)
 from .lp import OPTIMAL, BoxSet, LinearProgram, solve_lp, solve_robust_box
-from .numerics import RngStream, alpha_level
+from .numerics import RngStream, alpha_level, check_alpha
 from .predictors import Dataset, Predictor, compute_residuals, fit_mean, fit_quantile
 from . import analytic
 from .scenarios import (TEST, TRAIN, GridScenario, KnapsackScenario, SimpleScenario,
@@ -81,8 +81,7 @@ class ExperimentConfig:
             # bool is a number in Python, but JSON's true is not a shift or a bound
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (0.5 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0.5, 1), got {self.alpha}")
+        check_alpha(self.alpha, 0.5)
         counts = ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var", "replicates",
                   "workers", "seed") + (() if self.d is None else ("d",))
         for name in counts:
@@ -106,9 +105,7 @@ class ExperimentConfig:
         if self.scenario != "toy" and (self.shift_kind, self.sigma1, self.sigma2) != (
                 "covariate", 1.0, 1.0):
             raise ValueError("shift_kind, sigma1 and sigma2 apply to the toy scenario only")
-        if not (0.0 < self.clip_lo <= self.clip_hi and self.clip_lo < math.inf):
-            raise ValueError(f"clip bounds must satisfy 0 < clip_lo <= clip_hi with a "
-                             f"finite clip_lo, got ({self.clip_lo}, {self.clip_hi})")
+        check_clip(self.clip_lo, self.clip_hi)
         if not (self.out is None or isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a nonempty path or null, got {self.out!r}")
 
@@ -335,38 +332,45 @@ def run_pipeline(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):   # np.float64 too, whose repr reads np.float64(0.8)
+        return repr(float(v))
     return str(v)
+
+
+def report_paths(config: ExperimentConfig, fmt: str | None = None,
+                 out: str | None = None) -> list:
+    """The paths ``emit_report`` writes: out, or for svg out with ``.svg``
+    appended and, on the toy world, its curve chart beside it."""
+    fmt = fmt or config.format
+    out = out or config.out or f"report.{fmt}"
+    if fmt != "svg":
+        return [out]
+    bar_path = out if out.endswith(".svg") else out + ".svg"
+    if config.scenario != "toy":
+        return [bar_path]
+    return [bar_path, bar_path.removesuffix(".svg") + "_curves.svg"]
 
 
 def emit_report(report: Report, fmt: str | None = None, out: str | None = None):
     """Write the report as CSV, JSON, or SVG chart(s); returns written paths."""
     fmt = fmt or report.config.format
-    out = out or report.config.out or f"report.{fmt}"
+    paths = report_paths(report.config, fmt, out)
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for row in report.rows:
             lines.append(",".join(_fmt(v) for v in row.csv_values()))
-        _write_text(out, "\n".join(lines) + "\n")
-        return [out]
-    if fmt == "json":
+        _write_text(paths[0], "\n".join(lines) + "\n")
+    elif fmt == "json":
         payload = {
             "rows": [dict(zip(CSV_COLUMNS, row.csv_values())) for row in report.rows],
         }
-        _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return [out]
-    if fmt == "svg":
-        paths = []
-        bar_path = out if out.endswith(".svg") else out + ".svg"
-        _write_text(bar_path, coverage_bars_svg(report))
-        paths.append(bar_path)
-        if report.config.scenario == "toy":
-            curve_path = bar_path.removesuffix(".svg") + "_curves.svg"
-            _write_text(curve_path, conservatism_curves_svg(report))
-            paths.append(curve_path)
-        return paths
-    raise ValueError(f"unknown format {fmt!r}")
+        _write_text(paths[0], json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif fmt == "svg":
+        for path, chart in zip(paths, (coverage_bars_svg, conservatism_curves_svg)):
+            _write_text(path, chart(report))
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return paths
 
 
 def _write_text(path, text):

@@ -15,13 +15,14 @@ termination on degenerate instances (network LPs in particular).
 The box-robust counterpart writes its 2n bound rows so that the crash covers
 each of them, feasibly, at the solver's start point. The robust LPs of the
 toy, simple and knapsack worlds therefore start feasible and skip phase 1.
-Everything of a robust LP but its 2n box entries depends on the template
-alone, so a template builds that layout once, as a checked, read-only
-skeleton LP, and each box copies the skeleton's A, writes and checks those
-entries, and skips the checks the skeleton already passed. The part of the
-solver's start that the bounds alone set (start point, column states,
-extended bounds) is one read-only tuple per LP, and every robust LP of a
-template shares the skeleton's; the solver copies only what it writes.
+Every LP holds read-only copies of its arrays. Everything of a robust LP but
+its 2n box entries depends on the template alone, so a template builds that
+layout once, as a checked skeleton LP, and each box copies the skeleton's A,
+writes and checks those entries, and skips the checks the skeleton already
+passed. The part of the solver's start that the bounds alone set (start
+point, column states, extended bounds) is one read-only tuple per LP, and
+every robust LP of a template shares the skeleton's; the solver copies only
+what it writes.
 When neither phase pivots or flips a bound, the basis is still the diagonal
 crash basis and its start values are the solution, so x is read off them
 without the final solve (bit for bit what that solve gives); most of the
@@ -57,10 +58,8 @@ _BASIC = 3
 class LinearProgram:
     """min c'x  s.t.  A x = b,  lo <= x <= hi (componentwise, +-inf allowed).
 
-    The stored arrays are read-only: c, A and b are the caller's own arrays
-    only when no one can write into them (read-only, owning their data), else
-    read-only copies. So the LP, and the robust layout it caches, cannot
-    change after construction.
+    The stored arrays are the LP's own read-only copies, so the LP, and the
+    robust layout it caches, cannot change after construction.
     """
 
     c: np.ndarray
@@ -70,14 +69,13 @@ class LinearProgram:
     hi: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        A = np.asarray(self.A, dtype=float)
+        c = np.array(self.c, dtype=float, ndmin=1)
+        A = np.array(self.A, dtype=float)
         if A.size == 0:
             A = A.reshape(0, c.size)
         if A.ndim != 2:
             raise ValueError("A must be a 2-d array")
-        b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else \
-            np.zeros(0)
+        b = np.array(self.b, dtype=float, ndmin=1) if np.size(self.b) else np.zeros(0)
         lo = np.full(c.shape, self.lo, dtype=float)
         hi = np.full(c.shape, self.hi, dtype=float)
         m, n = A.shape
@@ -94,12 +92,9 @@ class LinearProgram:
                              "leaves no value for its variable")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
-        lo.flags.writeable = hi.flags.writeable = False   # np.full's own arrays
-        object.__setattr__(self, "c", _frozen(c))
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "b", _frozen(b))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        for name, a in (("c", c), ("A", A), ("b", b), ("lo", lo), ("hi", hi)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -113,8 +108,22 @@ class LinearProgram:
     def _start(self) -> tuple:
         """``(x, state, lo, hi)`` of ``solve_lp``'s start over the n + m
         columns [x, artificials], before the crash: what the bounds alone set.
-        Read-only, as robust LPs share their template's."""
-        return _bound_start(self.lo, self.hi, self.m)
+        Each column starts nonbasic at its finite lower bound, else its finite
+        upper bound, else zero (free); each artificial is basic, in [0, inf),
+        and x reads 0 for it. Read-only, as robust LPs share their template's."""
+        n, m, lo, hi = self.n, self.m, self.lo, self.hi
+        finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+        x = np.zeros(n + m)
+        x[:n] = np.where(finite_lo, lo, np.where(finite_hi, hi, 0.0))
+        state = np.full(n + m, _BASIC)
+        state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
+        lo_ext = np.zeros(n + m)
+        lo_ext[:n] = lo
+        hi_ext = np.full(n + m, np.inf)
+        hi_ext[:n] = hi
+        for a in (x, state, lo_ext, hi_ext):
+            a.flags.writeable = False
+        return x, state, lo_ext, hi_ext
 
     @cached_property
     def _robust_layout(self) -> tuple:
@@ -147,15 +156,6 @@ class LinearProgram:
                                  np.concatenate([self.hi, np.full(3 * n, np.inf)]))
         skeleton._start
         return keep_u, box_at, skeleton
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a when no one can write into it, else a read-only copy."""
-    flags = a.flags
-    if flags.writeable or not flags.owndata:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -304,26 +304,6 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
     raise RuntimeError("simplex failed to terminate within the pivot cap")
 
 
-def _bound_start(lo, hi, m) -> tuple:
-    """Read-only ``(x, state, lo, hi)`` over n columns with these bounds and m
-    artificials. Each column starts nonbasic at its finite lower bound, else
-    its finite upper bound, else zero (free); each artificial is basic, in
-    [0, inf), and x reads 0 for it."""
-    n = lo.size
-    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
-    x = np.zeros(n + m)
-    x[:n] = np.where(finite_lo, lo, np.where(finite_hi, hi, 0.0))
-    state = np.full(n + m, _BASIC)
-    state[:n] = np.where(finite_lo, _AT_LO, np.where(finite_hi, _AT_HI, _FREE0))
-    lo_ext = np.zeros(n + m)
-    lo_ext[:n] = lo
-    hi_ext = np.full(n + m, np.inf)
-    hi_ext[:n] = hi
-    for a in (x, state, lo_ext, hi_ext):
-        a.flags.writeable = False
-    return x, state, lo_ext, hi_ext
-
-
 def solve_lp(p: LinearProgram) -> LpSolution:
     """Solve the LP, classifying the result as optimal/infeasible/unbounded.
 
@@ -416,10 +396,10 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     decision is the leading n entries.
 
     Row m + j keeps for t_j the bound k_j that binds at x_j's start point x0_j
-    (``_bound_start``): u_j where x0_j >= 0, else l_j. With o_j the other
-    bound, it reads ``t_j - k_j x_j - slack_k_j = 0``, and row m + n + j is the
-    other bound's row minus it, ``(k_j - o_j) x_j + slack_k_j - slack_o_j =
-    0``. The feasible set is the same as with the two bound rows as they
+    (``LinearProgram._start``): u_j where x0_j >= 0, else l_j. With o_j the
+    other bound, it reads ``t_j - k_j x_j - slack_k_j = 0``, and row m + n + j
+    is the other bound's row minus it, ``(k_j - o_j) x_j + slack_k_j -
+    slack_o_j = 0``. The feasible set is the same as with the two bound rows as they
     read, and t_j and slack_o_j are singletons that ``solve_lp``'s crash
     starts basic, at k_j x0_j and at (k_j - o_j) x0_j >= 0.
 

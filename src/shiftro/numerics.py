@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from statistics import NormalDist
 
 import numpy as np
@@ -37,12 +38,32 @@ def normal_quantile(p) -> float:
     return _STD_NORMAL.inv_cdf(pf)
 
 
+def check_alpha(alpha, low=0):
+    """Raise ValueError unless low < alpha < 1."""
+    if not (low < alpha < 1.0):
+        raise ValueError(f"alpha must lie in ({low}, 1), got {alpha}")
+
+
 def alpha_level(total, alpha):
     """alpha * total less a few ulp of it (elementwise): the level an alpha-quantile's
     cumulative weight or count must reach. The product is inexact: 0.55 * 100
     reads 55.000000000000007, and the 55th of 100 draws must still count."""
     level = alpha * total
     return level - 4 * np.spacing(level)
+
+
+def alpha_quantile_index(weights, alpha):
+    """Index, along the last axis, of the first cumulative weight that reaches
+    ``alpha_level`` of its total: the weighted alpha-quantile of values sorted
+    ascending in that order (weighted conformal prediction, Tibshirani et al.
+    2019). Weights must be positive. Raises ValueError on an alpha outside
+    (0, 1) and on a weight sum that overflows a float."""
+    check_alpha(alpha)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(weights, axis=-1)
+    if not np.isfinite(cum[..., -1]).all():
+        raise ValueError("the weight sum overflows a float")
+    return np.argmax(cum >= alpha_level(cum[..., -1:], alpha), axis=-1)
 
 
 def solve_spd(mat, rhs):
@@ -86,8 +107,11 @@ class RngStream:
 
     def __post_init__(self):
         for name, value in (("seed", self.seed), ("index", self.index)):
-            if not 0 <= value < 2 ** 64:
-                raise ValueError(f"{name} must lie in [0, 2**64 - 1], got {value}")
+            # the uint64 key would truncate 1.7 to 1; bool is an Integral, not a seed
+            if isinstance(value, bool) or not (isinstance(value, Integral)
+                                               and 0 <= value < 2 ** 64):
+                raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], "
+                                 f"got {value!r}")
         key = np.array([self.seed, self.index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

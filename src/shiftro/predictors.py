@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, solve_spd
+from .numerics import RngStream, check_alpha, solve_spd
 
 WIDTH_FLOOR = 1e-6
 HIDDEN = 16             # MLP hidden units
@@ -83,8 +83,7 @@ class Dataset:
 
 def pinball(u, alpha: float):
     """Pinball loss rho_alpha(u) = alpha * u+ + (1 - alpha) * u-."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     uv = np.asarray(u, dtype=float)
     out = alpha * np.maximum(uv, 0.0) + (1.0 - alpha) * np.maximum(-uv, 0.0)
     return float(out) if np.ndim(u) == 0 else out
@@ -473,8 +472,7 @@ def fit_quantile(Z, abs_residuals, alpha: float, kind: str, seed: int):
     on the grid world it binds on about a fifth of the entries, on simple
     and knapsack on under 0.3 %. The linear width keeps WIDTH_FLOOR.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.asarray(abs_residuals, dtype=float)
     if Y.ndim == 1:

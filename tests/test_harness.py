@@ -352,6 +352,17 @@ class TestEmitReport:
         assert paths == [str(runs / "toy.svg"), str(runs / "toy_curves.svg")]
         assert all(Path(p).read_text().startswith("<svg") for p in paths)
 
+    def test_numpy_float_alpha_writes_python_float_bytes(self, tmp_path):
+        # an alpha from np.linspace is an np.float64, whose repr is
+        # "np.float64(0.8)" on numpy 2; the CSV must read as for a float
+        paths = []
+        for alpha in (0.8, np.float64(0.8)):
+            report = run_pipeline(ExperimentConfig(seed=3, **dict(FAST_TOY, alpha=alpha)))
+            paths.append(tmp_path / f"{type(alpha).__name__}.csv")
+            emit_report(report, "csv", str(paths[-1]))
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+        assert paths[1].read_text().splitlines()[1].split(",")[3] == "0.8"
+
     def test_bad_path_raises_io_error(self):
         with pytest.raises(IOError):
             emit_report(self._tiny_report(), "csv", "/nonexistent-dir/x.csv")
@@ -438,6 +449,18 @@ class TestCli:
         res = self._run("toy", "--out", str(tmp_path / "missing" / "x.csv"))
         assert res.returncode == 1, res.stderr
         assert "config error" in res.stderr and "does not exist" in res.stderr
+
+    @pytest.mark.parametrize("fmt,out,taken", [("csv", "", ""), ("json", "r", "r"),
+                                               ("svg", "fig", "fig.svg"),
+                                               ("svg", "fig", "fig_curves.svg")])
+    def test_out_naming_a_directory_is_config_error(self, tmp_path, fmt, out, taken):
+        # a report path that is an existing directory used to fail only after
+        # every fit, "Is a directory" (exit 2); svg writes out + ".svg" and,
+        # on the toy world, the curve chart beside it
+        (tmp_path / taken).mkdir(exist_ok=True)
+        res = self._run("toy", "--format", fmt, "--out", str(tmp_path / out))
+        assert res.returncode == 1, res.stderr
+        assert "config error" in res.stderr and "existing directory" in res.stderr
 
     @pytest.mark.parametrize("field,flag", [
         ("ratio_kind", "--ratio"), ("shift_kind", "--shift-kind"),
@@ -545,9 +568,13 @@ class TestCli:
         assert len(lines) == 2
 
     def test_runtime_error_exit_code(self, tmp_path):
-        # an output path that is a directory passes the config check and
-        # surfaces as a runtime failure when the report is written
+        # an output path that is a dangling link into a missing directory
+        # passes the config check and surfaces as a runtime failure when the
+        # report is written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(FAST_TOY)))
-        res = self._run("toy", "--config", str(cfg), "--out", str(tmp_path))
+        out = tmp_path / "report.csv"
+        out.symlink_to(tmp_path / "missing" / "report.csv")
+        res = self._run("toy", "--config", str(cfg), "--out", str(out))
         assert res.returncode == 2
+        assert "runtime error" in res.stderr

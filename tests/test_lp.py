@@ -115,8 +115,8 @@ class TestSolveLp:
         view = A.view()
         view.flags.writeable = False
         assert not np.shares_memory(LinearProgram(c, view, b, 0.0, 1.0).A, A)
-        # an LP's own arrays are kept, uncopied
-        assert LinearProgram(p.c, p.A, p.b, p.lo, p.hi).A is p.A
+        # and so is another LP's read-only array
+        assert not np.shares_memory(LinearProgram(p.c, p.A, p.b, p.lo, p.hi).A, p.A)
 
     @pytest.mark.parametrize("bound", [np.inf, -np.inf])
     def test_infinite_equal_bounds_rejected(self, bound):

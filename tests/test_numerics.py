@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from shiftro.analytic import DiscreteWorld, exact_coverage
 from shiftro.conformal import CalibScores, select_eta
 from shiftro.harness import empirical_var
-from shiftro.numerics import RngStream, alpha_level, normal_cdf, normal_quantile, solve_spd
+from shiftro.numerics import (RngStream, alpha_level, alpha_quantile_index, normal_cdf,
+                              normal_quantile, solve_spd)
 
 
 def gauss_cdf_quadrature(x):
@@ -164,6 +165,16 @@ class TestRngStream:
         with pytest.raises(ValueError, match="index .*18446744073709551616"):
             RngStream(0, 2 ** 64)
 
+    def test_seed_and_index_must_be_integers(self):
+        # the uint64 key used to truncate 1.7 to 1, drawing what seed 1 draws
+        for bad in (1.7, np.float64(1.0), True, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                RngStream(bad)
+            with pytest.raises(ValueError, match="index must be an integer"):
+                RngStream(0, bad)
+        a = RngStream(np.int64(3), np.uint64(2)).gaussian(0.0, 1.0, size=4)
+        np.testing.assert_array_equal(a, RngStream(3, 2).gaussian(0.0, 1.0, size=4))
+
 
 class TestAlphaLevel:
     ALPHAS = ("0.55", "0.56", "0.6", "0.75", "0.8", "0.9")
@@ -198,3 +209,26 @@ class TestAlphaLevel:
                 want = 0.3 * (1 - below) + below
                 assert exact_coverage(world, n, alpha, np.ones(2)) == pytest.approx(
                     want, abs=1e-12), (text, n)
+
+
+class TestAlphaQuantileIndex:
+    def test_rows_of_a_stack_match_one_row_and_searchsorted(self):
+        W = np.ones((5, 100))      # alpha 0.55 on 100 unit weights: 55.000000000000007
+        W[1, 55], W[1, 99] = 1e-20, 2.0   # too small to move the sum, at the answer
+        W[2] *= 1.7e306                   # a sum just below the overflow limit
+        W[3] = np.random.default_rng(0).uniform(0.1, 5.0, 100)
+        W[4, :50] = 1e-300                # a first half the quantile never reaches
+        first = alpha_quantile_index(W, 0.55)
+        for w, i in zip(W, first):
+            cum = np.cumsum(w)
+            assert alpha_quantile_index(w, 0.55) == i
+            assert np.searchsorted(cum, alpha_level(cum[-1], 0.55)) == i
+        # the 55th of 100, and the first of two equal running sums
+        assert first[0] == first[1] == 54
+
+    def test_checks_alpha_and_overflow(self):
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                alpha_quantile_index(np.ones(3), alpha)
+        with pytest.raises(ValueError, match="overflows"):
+            alpha_quantile_index(np.full((2, 100), 1.8e306), 0.8)
