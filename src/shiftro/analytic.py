@@ -49,11 +49,10 @@ def oracle_toy_decision(z, scn, alpha: float) -> int:
 
 
 def worst_case_radius(scn) -> float:
-    """Distribution-ball radius needed to cover the shifted law."""
-    if scn.kind == "covariate":
-        return np.sqrt(2.0) * scn.shift
-    total = scn.sigma1 ** 2 + scn.sigma2 ** 2
-    return np.sqrt(1.0 + scn.sigma1 ** 4 / total ** 2) * scn.shift
+    """Distribution-ball radius needed to cover the shifted law: the length
+    of its mean shift in (z, c), where c = z + eps."""
+    m_z, m_eps = scn.phase_means(TEST)
+    return np.hypot(m_z, m_z + m_eps)
 
 
 def prob_conservative(scn, alpha: float, method: str = OODRO) -> float:
@@ -61,16 +60,13 @@ def prob_conservative(scn, alpha: float, method: str = OODRO) -> float:
     check_alpha(alpha, 0.5)
     q = normal_quantile(alpha)
     ratio = scn.sigma2 / scn.sigma1
-    s = scn.shift
     if method == OODRO:
         # identical closed form for both shift kinds
-        half, drift = ratio * q, s / scn.sigma1
+        half, drift = ratio * q, scn.shift / scn.sigma1
     elif method == WSBALL:
+        # z / sigma1 is N(drift, 1) under the test law
         half = ratio * q + worst_case_radius(scn) / scn.sigma1
-        if scn.kind == "covariate":
-            drift = s / scn.sigma1
-        else:
-            drift = scn.sigma1 * s / (scn.sigma1 ** 2 + scn.sigma2 ** 2)
+        drift = scn.phase_means(TEST)[0] / scn.sigma1
     else:
         raise ValueError(f"unknown method {method!r}")
     # P(|drift + N(0, 1)| < half)

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -26,33 +26,30 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# each flag and the ExperimentConfig field it sets, in --help order; --config
+# names the JSON file that the flags override
+FLAGS = {"--alpha": "alpha", "--seed": "seed", "--shift": "shift", "--shift-kind": "shift_kind",
+         "--d": "d", "--ratio": "ratio_kind", "--replicates": "replicates",
+         "--workers": "workers", "--out": "out", "--format": "format", "--config": None,
+         "--mean-kind": "mean_kind", "--quantile-kind": "quantile_kind", "--n-eval": "n_eval"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="shiftro",
         description="Shift-robust contextual LP experiments with calibrated "
                     "box uncertainty sets.")
     sub = parser.add_subparsers(dest="command", required=True)
+    hints = get_type_hints(ExperimentConfig)
     for name in CHOICES["scenario"]:
-        # every dest but --config's is an ExperimentConfig field; the toy
-        # world alone is one-dimensional and alone has a label shift
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--shift", type=float)
-        if name == "toy":
-            p.add_argument("--shift-kind", choices=CHOICES["shift_kind"])
-        else:
-            p.add_argument("--d", type=int)
-        p.add_argument("--ratio", dest="ratio_kind", choices=CHOICES["ratio_kind"])
-        p.add_argument("--replicates", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out", type=str)
-        p.add_argument("--format", choices=CHOICES["format"])
-        p.add_argument("--config", type=str,
-                       help="JSON file mirroring ExperimentConfig field-for-field")
-        p.add_argument("--mean-kind", choices=CHOICES["mean_kind"])
-        p.add_argument("--quantile-kind", choices=CHOICES["quantile_kind"])
-        p.add_argument("--n-eval", type=int)
+        for flag, dest in FLAGS.items():
+            if dest is None:
+                p.add_argument(flag, help="JSON file mirroring ExperimentConfig field-for-field")
+            # the toy world alone is one-dimensional and alone has a label shift
+            elif dest != ("d" if name == "toy" else "shift_kind"):
+                kind = (get_args(hints[dest]) or (hints[dest],))[0]   # int of int | None
+                p.add_argument(flag, dest=dest, type=kind, choices=CHOICES.get(dest))
     sub.add_parser("selftest", help="quick internal consistency checks")
     return parser
 
@@ -67,8 +64,7 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ValueError("the config file must hold a JSON object")
     data["scenario"] = args.command
-    names = {f.name for f in fields(ExperimentConfig)}
-    data.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    data.update((k, v) for k, v in vars(args).items() if k in FLAGS.values() and v is not None)
     return ExperimentConfig.from_dict(data)
 
 
@@ -148,7 +144,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"the report path {path!r} is an existing directory")
     except SystemExit:    # --help, after printing the usage
         return 0
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.command == "selftest":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import RngStream, solve_spd
-from .predictors import HIDDEN, Dataset, Predictor, _fit_lbfgs, _mlp_init
+from .predictors import Dataset, Predictor, _fit_lbfgs, _mlp_init
 
 CLASSIFIER_ITERATIONS = 100  # L-BFGS steps of either classifier fit
 KMM_MAX_SAMPLES = 400
@@ -90,7 +90,7 @@ def fit_classifier_ratio(train_z, test_z, kind: str, seed: int, clip) -> Classif
     if kind == "linear":
         params, bias = {"W": np.zeros((X.shape[1], 1)), "b": np.zeros(1)}, "b"
     elif kind == "mlp":
-        params, bias = _mlp_init(X.shape[1], HIDDEN, 1, RngStream(seed, 303)), "b2"
+        params, bias = _mlp_init(X.shape[1], 1, RngStream(seed, 303)), "b2"
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
     params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, CLASSIFIER_ITERATIONS)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from numbers import Integral
+from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -78,9 +78,13 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("alpha", "shift", "sigma1", "sigma2", "clip_lo", "clip_hi"):
+            value = getattr(self, name)
             # bool is a number in Python, but JSON's true is not a shift or a bound
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # the Python float the run uses and the reports write: np.float32(0.8)
+            # is 0.800000011920929 (an int past 1.8e308 raises OverflowError)
+            object.__setattr__(self, name, float(value))
         check_alpha(self.alpha, 0.5)
         counts = ("n_f", "n_h", "n_cal", "m_ratio", "n_eval", "n_mc_var", "replicates",
                   "workers", "seed") + (() if self.d is None else ("d",))
@@ -89,6 +93,7 @@ class ExperimentConfig:
             # bool is an Integral, but JSON's true is not a count
             if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.seed + self.replicates - 1 > 2**64 - 1:  # RngStream's 64-bit key
             raise ValueError(f"seed + replicates - 1 must be at most 2**64 - 1, got "
                              f"{self.seed} + {self.replicates} - 1")
@@ -205,7 +210,7 @@ def _fit_ratio(config, fitted: FittedReplicate):
 
 def _decide(scenario, box: BoxSet):
     """Robust decision for one uncertainty box; returns the decision vector."""
-    template = scenario.decision_lp()
+    template = scenario.decision_lp
     x_len = template.n
     if isinstance(scenario, KnapsackScenario):
         sol = solve_lp(build_knapsack_lp(scenario, box))
@@ -309,7 +314,10 @@ def evaluate(fitted: FittedReplicate, eta: float, config: ExperimentConfig) -> R
 def run_replicate(config: ExperimentConfig, rep: int = 0) -> ReportRow:
     """One full pipeline pass: fit, calibrate and evaluate replicate rep."""
     fitted = fit_replicate(config, rep)
-    return evaluate(fitted, calibrate(fitted, config), config)
+    eta = calibrate(fitted, config)
+    # evaluate reads no sample: free them before its row loop, not after it
+    fitted = replace(fitted, train_f=None, d1=None, d2=None, test_cov=None)
+    return evaluate(fitted, eta, config)
 
 
 def run_pipeline(config: ExperimentConfig) -> Report:

@@ -93,12 +93,12 @@ def pinball(u, alpha: float):
 # shared gradient-descent engine (full batch)
 # ---------------------------------------------------------------------------
 
-def _mlp_init(d, hidden, k, rng: RngStream):
+def _mlp_init(d, k, rng: RngStream):
     g = rng.generator
     return {
-        "W1": g.normal(0.0, 1.0 / np.sqrt(d), size=(d, hidden)),
-        "b1": np.zeros(hidden),
-        "W2": g.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, k)),
+        "W1": g.normal(0.0, 1.0 / np.sqrt(d), size=(d, HIDDEN)),
+        "b1": np.zeros(HIDDEN),
+        "W2": g.normal(0.0, 1.0 / np.sqrt(HIDDEN), size=(HIDDEN, k)),
         "b2": np.zeros(k),
     }
 
@@ -129,8 +129,7 @@ class _Workspace:
         return A
 
 
-def _mlp_forward(params, Z, work=None):
-    work = _Workspace() if work is None else work
+def _mlp_forward(params, Z, work):
     (d, hidden), n = params["W1"].shape, Z.shape[0]
     W2 = params["W2"]
     W1b1 = work.array("W1b1", (d + 1, hidden))
@@ -138,12 +137,13 @@ def _mlp_forward(params, Z, work=None):
     H = np.matmul(work.design(Z), W1b1, out=work.array("H", (n, hidden)))
     np.tanh(H, out=H)
     out = np.matmul(H, W2, out=work.array("out", (n, W2.shape[1])))
+    # not folded into [H | 1] @ [W2; b2]: at the knapsack mean's and width's
+    # shapes that product differs from H @ W2 + b2 in the last bits
     np.add(out, params["b2"], out=out)
     return out, H
 
 
-def _linear_forward(params, Z, work=None):
-    work = _Workspace() if work is None else work
+def _linear_forward(params, Z, work):
     W = params["W"]
     out = np.matmul(Z, W, out=work.array("out", (Z.shape[0], W.shape[1])))
     np.add(out, params["b"], out=out)
@@ -403,7 +403,7 @@ class Predictor:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim}-dim input, got {Z.shape[1]}")
-        out, _ = self._forward(self.params, Z)
+        out, _ = self._forward(self.params, Z, _Workspace())
         return out if self.floor is None else np.maximum(out, self.floor)
 
 
@@ -426,7 +426,7 @@ def fit_mean(train: Dataset, kind: str, seed: int):
         return Predictor({"W": W, "b": cm - zm @ W})
     if kind == "mlp":
         rng = RngStream(seed, 101)
-        params = _mlp_init(train.d, HIDDEN, train.n_cost, rng)
+        params = _mlp_init(train.d, train.n_cost, rng)
         params, _ = _fit_gradient(params, Z, C, "mse", 0.5, MEAN_EPOCHS)
         return Predictor(params)
     raise ValueError(f"unknown mean model kind {kind!r}")
@@ -490,7 +490,7 @@ def fit_quantile(Z, abs_residuals, alpha: float, kind: str, seed: int):
                                   optimizer="sgd")
     elif kind == "mlp":
         rng = RngStream(seed, 202)
-        params = _mlp_init(d, HIDDEN, k, rng)
+        params = _mlp_init(d, k, rng)
         sd = Y.std(axis=0)
         floor = np.maximum(WIDTH_SD_FLOOR * sd, WIDTH_FLOOR)
         sd[sd == 0] = 1.0

@@ -83,15 +83,11 @@ class _World:
         z = np.asarray(z, dtype=float).reshape(1, -1)
         return self._costs(z, self._noise(n_mc, rng, phase))
 
-    def decision_lp(self) -> LinearProgram:
-        """The world's decision LP, built once per world, so that each row's
-        robust LP starts from its cached layout (the objective is filled by
-        the robust layer)."""
-        return self._decision_lp
-
     @cached_property
-    def _decision_lp(self) -> LinearProgram:
-        """min c*x over -1 <= x <= 1."""
+    def decision_lp(self) -> LinearProgram:
+        """The world's decision LP, here min c*x over -1 <= x <= 1. It is
+        built once per world, so that each row's robust LP starts from its
+        cached layout (the objective is filled by the robust layer)."""
         return LinearProgram(c=[0.0], A=np.zeros((0, 1)), b=[],
                              lo=[-1.0], hi=[1.0])
 
@@ -179,7 +175,7 @@ class GridScenario(_GaussianCovariates):
     d: int = 10
     shift: float = 1.0
     theta_seed: int = 7
-    theta: np.ndarray = field(init=False)
+    theta: np.ndarray = field(init=False, compare=False)   # derived from theta_seed
 
     def __post_init__(self):
         super().__post_init__()
@@ -198,7 +194,7 @@ class GridScenario(_GaussianCovariates):
         return np.maximum(base * noise, GRID_COST_FLOOR)
 
     @cached_property
-    def _decision_lp(self) -> LinearProgram:
+    def decision_lp(self) -> LinearProgram:
         return build_shortest_path_lp(self)
 
     def lp_costs(self, C):
@@ -257,9 +253,10 @@ class KnapsackScenario(_GaussianCovariates):
     d: int = 10
     shift: float = 1.0
     theta_seed: int = 11
-    theta: np.ndarray = field(init=False)
-    prices: np.ndarray = field(init=False)
-    budget: float = field(init=False)
+    # derived from theta_seed, so a world compares and hashes by (d, shift, theta_seed)
+    theta: np.ndarray = field(init=False, compare=False)
+    prices: np.ndarray = field(init=False, compare=False)
+    budget: float = field(init=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -281,7 +278,7 @@ class KnapsackScenario(_GaussianCovariates):
         return _rowwise_matvec(self.theta, Z) ** 2 * noise
 
     @cached_property
-    def _decision_lp(self) -> LinearProgram:
+    def decision_lp(self) -> LinearProgram:
         """min 0'x s.t. p'x + slack = B, 0 <= x <= 1, slack >= 0."""
         k = self.n_cost
         A = np.hstack([self.prices[None, :], np.ones((1, 1))])
@@ -303,4 +300,4 @@ def build_knapsack_lp(scn: KnapsackScenario, utility_box: BoxSet) -> LinearProgr
         raise ValueError(f"box dimension {utility_box.dim} != {scn.n_cost} items")
     coeff = BoxSet(np.append(scn.lp_costs(utility_box.upper), 0.0),
                    np.append(scn.lp_costs(utility_box.lower), 0.0))
-    return robustify_box(scn.decision_lp(), coeff)
+    return robustify_box(scn.decision_lp, coeff)

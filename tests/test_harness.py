@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -80,6 +81,30 @@ class TestConfig:
         # an infinite clip_lo is refused by the config and by the ratio model
         with pytest.raises(ValueError, match="finite lo"):
             trivial_ratio(float("inf"), float("inf"))
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        # np.float32(0.8) runs as 0.800000011920929, so the report must read
+        # that; a numpy int seed or d used to make the JSON report raise a
+        # TypeError after every fit had run
+        cfg = ExperimentConfig(**dict(SMALL_SIMPLE, alpha=np.float32(0.8), seed=np.int64(3),
+                                      d=np.int64(2), n_eval=np.int32(10), clip_hi=np.float16(8),
+                                      ratio_kind="trivial", mean_kind="ridge",
+                                      quantile_kind="linear"))
+        for name in ("alpha", "clip_hi", "shift"):
+            assert type(getattr(cfg, name)) is float, name
+        for name in ("seed", "d", "n_eval", "n_f"):
+            assert type(getattr(cfg, name)) is int, name
+        assert cfg.alpha == float(np.float32(0.8)) != 0.8
+        report = run_pipeline(cfg)
+        emit_report(report, "json", str(tmp_path / "r.json"))
+        emit_report(report, "csv", str(tmp_path / "r.csv"))
+        (row,) = json.loads((tmp_path / "r.json").read_text())["rows"]
+        assert (row["seed"], row["d"], row["alpha"]) == (3, 2, 0.800000011920929)
+        assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[3] == \
+            "0.800000011920929"
+        for name, value in (("alpha", "0.8"), ("shift", None), ("clip_hi", [20.0])):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                ExperimentConfig(**{name: value})
 
     def test_scenario_dimension_defaults(self):
         from shiftro.harness import make_scenario
@@ -253,6 +278,29 @@ class TestFitCalibrateEvaluate:
                         n_mc_var=11, replicates=3, workers=2, out="x.json", format="json")
         assert evaluate(fit, calibrate(fit, other), other) == run_replicate(other, 0)
 
+    def test_run_replicate_frees_the_fit_samples_before_evaluate(self, monkeypatch):
+        # evaluate reads none of them, so its row loop must not keep them alive
+        fit, ev, refs = harness.fit_replicate, harness.evaluate, []
+        names = ("train_f", "d1", "d2", "test_cov")
+
+        def fit_and_watch(config, rep):
+            fitted = fit(config, rep)
+            refs.extend(weakref.ref(getattr(fitted, n)) for n in names)
+            return fitted
+
+        def check_then_evaluate(fitted, eta, config):
+            assert [n for n, ref in zip(names, refs) if ref() is not None] == []
+            return ev(fitted, eta, config)
+
+        cfg = ExperimentConfig(seed=5, **dict(SMALL_SIMPLE, ratio_kind="cls-linear",
+                                              mean_kind="ridge", quantile_kind="linear"))
+        kept = fit(cfg, 0)
+        want = ev(kept, calibrate(kept, cfg), cfg)
+        monkeypatch.setattr(harness, "fit_replicate", fit_and_watch)
+        monkeypatch.setattr(harness, "evaluate", check_then_evaluate)
+        assert run_replicate(cfg, 0) == want
+        assert len(refs) == 4
+
     def test_every_config_field_is_a_fit_field_or_free_to_differ(self):
         free = {"ratio_kind", "clip_lo", "clip_hi", "n_eval", "n_mc_var", "replicates",
                 "workers", "out", "format"}
@@ -412,6 +460,8 @@ class TestCli:
         pytest.param({"shift": float("inf")}, id="shift=Infinity"),
         pytest.param({"n_eval": 2.5}, id="n_eval=2.5"),
         pytest.param({"sigma1": float("inf")}, id="sigma1=Infinity"),
+        # an int no float can hold used to pass, and failed only at run time
+        pytest.param({"shift": 10**400}, id="shift=10**400"),
         # bool is an Integral in Python, but JSON's true is not a count
         pytest.param({"replicates": True}, id="replicates=true"),
         pytest.param({"n_eval": True}, id="n_eval=true"),

@@ -240,7 +240,7 @@ class TestRobustifyBox:
     def test_overflowing_box_entries_rejected(self):
         # a finite box whose width overflows: k_j - o_j reads -inf, and the
         # robust LP is refused with a ValueError, not numpy's overflow warning
-        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -251,7 +251,7 @@ class TestRobustifyBox:
     def test_infinite_box_rejected(self, lower, upper):
         # an infinite bound leaves an entry infinite or NaN (-inf - -inf):
         # a ValueError, with no numpy warning before it
-        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -421,7 +421,7 @@ class TestCachedLayout:
     @pytest.mark.parametrize("template", ["toy", "three-by-one"])
     def test_solve_robust_box_is_the_sliced_solve(self, template):
         if template == "toy":
-            p = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+            p = make_scenario(ExperimentConfig(scenario="toy")).decision_lp
         else:
             p = LinearProgram(np.zeros(3), [[1.0, 2.0, -1.0]], [0.5],
                               [-1.0, 0.0, -np.inf], [1.0, 2.0, 1.0])
@@ -737,7 +737,7 @@ class TestAgainstReference:
         assert pivots >= 5
 
     def test_toy_robust_boxes(self, monkeypatch):
-        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp()
+        template = make_scenario(ExperimentConfig(scenario="toy")).decision_lp
         rng = np.random.default_rng(4)
         center = rng.normal(size=600)
         half = rng.uniform(0, 1.5, 600)
@@ -791,7 +791,7 @@ class TestAgainstReference:
 
     def test_grid_flow_lps(self):
         scn = make_scenario(ExperimentConfig(scenario="shortest-path", seed=0))
-        template = scn.decision_lp()
+        template = scn.decision_lp
         rng = np.random.default_rng(6)
         for _ in range(30):
             costs = scn.lp_costs(rng.uniform(0.5, 3.0, scn.n_cost))

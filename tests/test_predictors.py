@@ -239,7 +239,7 @@ class TestGradients:
             ("logistic", 0.5, (g.random((40, 1)) < 0.5).astype(float)),
         ):
             k = Y.shape[1]
-            params = _mlp_init(3, 16, k, RngStream(1))
+            params = _mlp_init(3, k, RngStream(1))
             _, grads = loss_and_grad(params, Z, Y, kind, alpha)
             rng = np.random.default_rng(5)
             checked = 0
@@ -374,7 +374,7 @@ class TestWorkspace:
     def _check_bit_equal(n, d, k, kind, alpha, arch):
         Z, Y = _problem(n, d, k, kind)
         if arch == "mlp":
-            params = _mlp_init(d, 16, k, RngStream(1))
+            params = _mlp_init(d, k, RngStream(1))
         else:
             g = RngStream(2).generator
             params = {"W": g.normal(size=(d, k)), "b": g.normal(size=k)}
@@ -389,11 +389,11 @@ class TestWorkspace:
 
     def test_gradients_do_not_alias_the_workspace(self):
         Z, Y = _problem(200, 3, 2, "mse")
-        params = _mlp_init(3, 16, 2, RngStream(4))
+        params = _mlp_init(3, 2, RngStream(4))
         work = _Workspace()
         _, first = loss_and_grad(params, Z, Y, "mse", 0.5, work)
         kept = {k: g.copy() for k, g in first.items()}
-        other = _mlp_init(3, 16, 2, RngStream(5))
+        other = _mlp_init(3, 2, RngStream(5))
         loss_and_grad(other, -Z, 2 * Y, "mse", 0.5, work)
         for key in kept:
             _assert_same_bits(first[key], kept[key])
@@ -402,7 +402,7 @@ class TestWorkspace:
         # the workspace keeps [Z | 1] for the Z it was built from; a design
         # kept by shape would price -Z with Z's first layer
         Z, Y = _problem(200, 3, 2, "mse")
-        params = _mlp_init(3, 16, 2, RngStream(4))
+        params = _mlp_init(3, 2, RngStream(4))
         work = _Workspace()
         loss_and_grad(params, Z, Y, "mse", 0.5, work)
         loss, grads = loss_and_grad(params, -Z, Y, "mse", 0.5, work)
@@ -449,7 +449,7 @@ class TestWorkspace:
         Z, C = _problem(300, 4, 3, "mse", seed=9)
         monkeypatch.setattr(predictors, "MEAN_EPOCHS", 60)
         got = fit_mean(Dataset(Z, C), "mlp", 3).params
-        init = _mlp_init(4, HIDDEN, 3, RngStream(3, 101))
+        init = _mlp_init(4, 3, RngStream(3, 101))
         want = _reference_fit(init, Z, C, "mse", 0.5, 60, ADAM_STEP)
         assert got.keys() == want.keys()
         for key in want:
@@ -520,7 +520,7 @@ def _xor_problem():
     g = RngStream(0).generator
     Z = g.normal(size=(300, 3))
     Y = (Z[:, :1] * Z[:, 1:2] > 0).astype(float)
-    init = {k: 0.1 * v for k, v in _mlp_init(3, HIDDEN, 1, RngStream(0, 303)).items()}
+    init = {k: 0.1 * v for k, v in _mlp_init(3, 1, RngStream(0, 303)).items()}
     return init, Z, Y
 
 
@@ -533,7 +533,7 @@ class TestLbfgs:
         model = fit_classifier_ratio(train_z, test_z, "mlp", 8, CLIP)
         X = np.vstack([train_z, test_z])
         y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
-        init = _mlp_init(4, HIDDEN, 1, RngStream(8, 303))
+        init = _mlp_init(4, 1, RngStream(8, 303))
         want, _ = _reference_lbfgs(init, X, y, "logistic", 0.5, 60)
         want["b2"] = want["b2"] - np.log(200 / 300)
         params = model.predictor.params
@@ -661,7 +661,7 @@ def test_classifier_fit_beats_adam(scenario, d, seed):
     params = dict(model.predictor.params)
     params["b2"] = params["b2"] + np.log(len(test_z) / len(train_z))
     loss, _ = loss_and_grad(params, X, y, "logistic")
-    init = _mlp_init(d, HIDDEN, 1, RngStream(seed, 303))
+    init = _mlp_init(d, 1, RngStream(seed, 303))
     _, adam_loss = _fit_gradient(init, X, y, "logistic", 0.5, 500)
     assert loss < adam_loss
 
@@ -691,7 +691,7 @@ def test_width_fit_beats_adam(scenario, d, seed):
     d1, alpha = fit.d1, fit.config.alpha
     held_out = fit.scenario.sample(5000, RngStream(seed, 40), TRAIN)
     Y, Y_held = (np.abs(compute_residuals(data, fit.f)) for data in (d1, held_out))
-    init = _mlp_init(fit.scenario.d, HIDDEN, Y.shape[1], RngStream(seed, 202))
+    init = _mlp_init(fit.scenario.d, Y.shape[1], RngStream(seed, 202))
     init["b2"] = np.quantile(Y, alpha, axis=0)
     adam, _ = _fit_gradient(init, d1.Z, Y, "pinball", alpha, 2000)
     loss, adam_loss = (np.mean(pinball(Y_held - h.predict(held_out.Z), alpha))

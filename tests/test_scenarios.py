@@ -256,6 +256,19 @@ def test_cost_draws_reject_unknown_phase(scn):
                          ids=["toy", "simple", "grid", "knapsack"])
 def test_decision_lp_is_built_once_per_world(scn):
     # every row's robust LP then starts from the one template's cached layout
-    template = scn.decision_lp()
-    assert scn.decision_lp() is template
-    assert type(scn)().decision_lp() is not template
+    template = scn.decision_lp
+    assert scn.decision_lp is template
+    assert type(scn)().decision_lp is not template
+
+
+@pytest.mark.parametrize("world,other", [(ToyScenario, dict(shift=1.0)),
+                                         (SimpleScenario, dict(d=3)),
+                                         (GridScenario, dict(theta_seed=3)),
+                                         (KnapsackScenario, dict(theta_seed=3))],
+                         ids=["toy", "simple", "grid", "knapsack"])
+def test_worlds_compare_and_hash_by_their_parameters(world, other):
+    # theta, prices and budget derive from theta_seed: they take no part in
+    # == and hash, whose array comparison used to raise
+    assert world() == world() and hash(world()) == hash(world())
+    assert world(**other) != world()
+    assert len({world(), world(), world(**other)}) == 2
