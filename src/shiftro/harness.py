@@ -291,13 +291,16 @@ def evaluate(fitted: FittedReplicate, eta: float, config: ExperimentConfig) -> R
     var_rng = RngStream(seed, 6)
     boxes = _stage("uncertainty-box", uncertainty_box, eval_data.Z, fitted.f, fitted.h, eta)
     covered = box_hits(eval_data.C, boxes)
-    conservative = np.zeros(eval_data.n, dtype=bool)
+    decisions = None    # (n_eval, x_len), x_len read off the first decision
     var_vals = np.zeros(eval_data.n)
     for i in range(eval_data.n):
         x = _stage("decide", _decide, scenario, boxes.row(i))
-        conservative[i] = bool(np.max(np.abs(x)) <= 1e-9)
+        if decisions is None:
+            decisions = np.empty((eval_data.n, x.size))
+        decisions[i] = x
         var_vals[i] = _stage("empirical-var", empirical_var, x, eval_data.Z[i], scenario,
                              alpha, config.n_mc_var, var_rng)
+    conservative = np.max(np.abs(decisions), axis=1) <= 1e-9
 
     cov_total = empirical_coverage(eval_data, boxes)
     neg = eval_data.Z[:, 0] <= 0

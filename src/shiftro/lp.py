@@ -22,7 +22,9 @@ writes and checks those entries, and skips the checks the skeleton already
 passed. The part of the solver's start that the bounds alone set (start
 point, column states, extended bounds) is one read-only tuple per LP, and
 every robust LP of a template shares the skeleton's; the solver copies only
-what it writes.
+what it writes. The skeleton's start also memoises, per zero pattern of A,
+the crash of the robust LPs whose start residual is finite (exact, as
+``robustify_box`` says); every other LP runs the crash itself.
 When neither phase pivots or flips a bound, the basis is still the diagonal
 crash basis and its start values are the solution, so x is read off them
 without the final solve (bit for bit what that solve gives); most of the
@@ -52,6 +54,11 @@ _AT_LO = 0
 _AT_HI = 1
 _FREE0 = 2   # free variable resting at zero
 _BASIC = 3
+
+
+class _Start(tuple):
+    """``LinearProgram._start``; a robust skeleton's holds the crash memo (``solve_lp``)."""
+    crashes = None
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class LinearProgram:
         return self.A.shape[0]
 
     @cached_property
-    def _start(self) -> tuple:
+    def _start(self) -> _Start:
         """``(x, state, lo, hi)`` of ``solve_lp``'s start over the n + m
         columns [x, artificials], before the crash: what the bounds alone set.
         Each column starts nonbasic at its finite lower bound, else its finite
@@ -123,7 +130,7 @@ class LinearProgram:
         hi_ext[:n] = hi
         for a in (x, state, lo_ext, hi_ext):
             a.flags.writeable = False
-        return x, state, lo_ext, hi_ext
+        return _Start((x, state, lo_ext, hi_ext))
 
     @cached_property
     def _robust_layout(self) -> tuple:
@@ -131,8 +138,8 @@ class LinearProgram:
         this LP alone, built on first use and kept. Row m + j keeps u_j where
         keep_u_j, else l_j, and each box writes its 2n entries, at ``box_at``,
         into its own copy of ``skeleton.A``. The skeleton is a checked,
-        read-only LP whose start is read here, so every robust LP of this
-        template shares its c, b, bounds and start."""
+        read-only LP whose start, built here with an empty crash memo, every
+        robust LP of this template shares, with its c, b and bounds."""
         n, m = self.n, self.m
         keep_u = self._start[0][:n] >= 0.0
         j = np.arange(n)
@@ -154,7 +161,7 @@ class LinearProgram:
                                  np.concatenate([self.lo, np.full(n, -np.inf),
                                                  np.zeros(2 * n)]),
                                  np.concatenate([self.hi, np.full(3 * n, np.inf)]))
-        skeleton._start
+        skeleton._start.crashes = {}
         return keep_u, box_at, skeleton
 
 
@@ -304,6 +311,32 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
     raise RuntimeError("simplex failed to terminate within the pivot cap")
 
 
+def _crash(p: LinearProgram, resid: np.ndarray) -> tuple:
+    """``solve_lp``'s crash as fresh arrays ``(rows, cols, basis, x, state,
+    hi)``: its basic column of each row it covers, and the start's basis, x,
+    state and extended upper bounds with those columns basic."""
+    n, m = p.n, p.m
+    x0, state0, _, hi0 = p._start
+    x_ext, state, hi_ext = x0.copy(), state0.copy(), hi0.copy()
+    single = ((p.A != 0).sum(axis=0) == 1).nonzero()[0]
+    rows, k = np.nonzero(p.A[:, single])    # row-major: columns ascend per row
+    cols = single[k]
+    a = p.A[rows, cols]
+    value = (resid[rows] + a * x_ext[cols]) / a
+    fits = (p.lo[cols] <= value) & (value <= p.hi[cols])
+    rows, cols = rows[fits], cols[fits]
+    first = np.ones(rows.size, dtype=bool)  # the lowest column of each row
+    first[1:] = rows[1:] != rows[:-1]
+    rows, cols = rows[first], cols[first]
+    basis = np.arange(n, n + m)
+    basis[rows] = cols
+    state[cols] = _BASIC
+    x_ext[cols] = 0.0                       # basic columns read 0 in x_N
+    state[n + rows] = _AT_LO
+    hi_ext[n + rows] = 0.0
+    return rows, cols, basis, x_ext, state, hi_ext
+
+
 def solve_lp(p: LinearProgram) -> LpSolution:
     """Solve the LP, classifying the result as optimal/infeasible/unbounded.
 
@@ -311,41 +344,38 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     basic column is the lowest-indexed column whose only nonzero is in row i
     and whose value from row i lies within its bounds (row i's artificial is
     then locked at zero), else row i's artificial at ``|b_i - A_i x0|``.
+    A robust LP with a finite residual copies the crash its skeleton's start
+    memoised for the zero pattern of its A (``robustify_box`` says why).
     The start basis is diagonal, so when neither phase pivots or flips a
     bound, x reads off the start's basic values; else a solve with the final
     basis recomputes them.
     """
     m, n = p.m, p.n
-    x0, state0, lo_ext, hi0 = p._start
+    start = p._start
+    x0, _, lo_ext, _ = start
     # lo_ext is shared and read as it stands: an artificial's lower bound is
     # already the 0 that phase 2 locks it at
-    x_ext, state, hi_ext = x0.copy(), state0.copy(), hi0.copy()
     resid = p.b - p.A @ x0[:n]
     signs = np.where(resid >= 0.0, 1.0, -1.0)
-    # columns [A, diag(signs)]: one artificial per row
+    # columns [A, diag(signs)]: row i's artificial is at flat n + i (n + m + 1)
     A_ext = np.zeros((m, n + m))
     A_ext[:, :n] = p.A
-    basis = np.arange(n, n + m)
-    A_ext[basis - n, basis] = signs
+    A_ext.reshape(-1)[n::n + m + 1] = signs
 
     # crash: singleton columns whose row puts them within their bounds
-    single = ((p.A != 0).sum(axis=0) == 1).nonzero()[0]
-    rows, k = np.nonzero(p.A[:, single])    # row-major: columns ascend per row
-    cols = single[k]
-    a = p.A[rows, cols]
-    value = (resid[rows] + a * x_ext[cols]) / a
-    fits = (p.lo[cols] <= value) & (value <= p.hi[cols])
-    rows, cols, a = rows[fits], cols[fits], a[fits]
-    first = np.ones(rows.size, dtype=bool)  # the lowest column of each row
-    first[1:] = rows[1:] != rows[:-1]
-    rows, cols, a = rows[first], cols[first], a[first]
-    basis[rows] = cols
-    state[cols] = _BASIC
-    x_ext[cols] = 0.0                       # basic columns read 0 in x_N
-    state[n + rows] = _AT_LO
-    hi_ext[n + rows] = 0.0
+    crashes = start.crashes
+    if crashes is not None and np.isfinite(resid).all():
+        key = (p.A != 0).tobytes()
+        if key not in crashes:
+            crashes[key] = crash = _crash(p, resid)
+            for a in crash:
+                a.flags.writeable = False
+        rows, cols, basis, x_ext, state, hi_ext = crashes[key]
+        basis, x_ext, state, hi_ext = basis.copy(), x_ext.copy(), state.copy(), hi_ext.copy()
+    else:
+        rows, cols, basis, x_ext, state, hi_ext = _crash(p, resid)
     diag = signs.copy()
-    diag[rows] = a
+    diag[rows] = p.A[rows, cols]
     # B = diag(diag), so the start needs no solve
     tab = _Tableau(A_ext, p.b, lo_ext, hi_ext, state, basis,
                    A_ext / diag[:, None], (p.b - A_ext @ x_ext) / diag)
@@ -409,6 +439,10 @@ def robustify_box(p: LinearProgram, box: BoxSet) -> LinearProgram:
     checked when the skeleton was built, so only the written entries are
     checked (an infinite bound or an overflowed k_j - o_j leaves one of them
     not finite), and the LP shares the skeleton's c, b, bounds and start.
+    With a finite start residual, its crash depends on the box only through
+    A's zero pattern (t_j and slack_o_j fit as above, a template row's
+    singleton reads the template alone, an x_j singleton of a box row reads
+    exactly 0), so ``solve_lp`` memoises it per pattern.
     """
     if box.dim != p.n:
         raise ValueError(f"box dimension {box.dim} != {p.n} variables")

@@ -925,3 +925,118 @@ class TestCrashStart:
             assert got.status == want.status
             if want.status == OPTIMAL:
                 assert abs(got.value - want.value) <= 1e-9 * (1 + abs(want.value))
+
+
+def _mixed_boxes(rng, n, count, positive=False):
+    """Ordinary boxes, in random order among boxes with a zero lower or upper
+    bound in some entries and boxes that are degenerate (l == u) in some, so
+    that the robust LPs' A takes several zero patterns. ``positive`` keeps
+    every bound >= 0 (knapsack utilities)."""
+    boxes = []
+    for i in range(count):
+        lower, upper = np.sort(rng.normal(size=(2, n)), axis=0)
+        if positive:
+            lower, upper = np.abs(lower) * 0.5, np.abs(lower) * 0.5 + np.abs(upper)
+        pick = rng.random(n) < 0.5
+        if i % 4 == 1:      # zero lower bound
+            lower[pick], upper[pick] = 0.0, np.abs(upper[pick])
+        elif i % 4 == 2 and not positive:    # zero upper bound
+            lower[pick], upper[pick] = -np.abs(lower[pick]), 0.0
+        elif i % 4 == 3:    # degenerate, at 0 in some entries
+            lower[pick & (rng.random(n) < 0.5)] = 0.0
+            upper[pick] = lower[pick]
+        boxes.append(BoxSet(lower, upper))
+    rng.shuffle(boxes)
+    return boxes
+
+
+class TestCrashMemo:
+    """A template's robust LPs share one crash start per zero pattern of A."""
+
+    @staticmethod
+    def _solve_all(monkeypatch, template, lps):
+        """Solve ``lps``, robust LPs of ``template``, in order: each solution
+        equals the reference's and a fresh LP's bit for bit. Returns the
+        template's crash memo."""
+        crashed = []    # every LP whose crash ran, in place of a memo's copy
+        run = lp._crash
+        monkeypatch.setattr(lp, "_crash", lambda p, resid: crashed.append(p) or run(p, resid))
+        patterns = set()
+        for r in lps:
+            got = solve_lp(r)
+            _assert_same_solution(got, _ref_solve_lp(r))
+            _assert_same_solution(got, solve_lp(LinearProgram(r.c, r.A, r.b, r.lo, r.hi)))
+            patterns.add((r.A != 0).tobytes())
+        memo = template._robust_layout[2]._start.crashes
+        assert len(memo) == len(patterns)
+        # robust LPs ran the crash once per pattern, and each fresh LP its own
+        assert sum(p._start.crashes is memo for p in crashed) == len(patterns)
+        assert len(crashed) == len(patterns) + len(lps)
+        return memo
+
+    def test_toy_and_simple_templates(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        for name in ("toy", "simple"):
+            template = make_scenario(ExperimentConfig(scenario=name)).decision_lp
+            lps = [robustify_box(template, box) for box in _mixed_boxes(rng, 1, 240)]
+            assert len(self._solve_all(monkeypatch, template, lps)) >= 3
+
+    def test_knapsack_template(self, monkeypatch):
+        scn = make_scenario(ExperimentConfig(scenario="knapsack", d=10, seed=0))
+        rng = np.random.default_rng(31)
+        lps = [build_knapsack_lp(scn, box)
+               for box in _mixed_boxes(rng, scn.n_cost, 24, positive=True)]
+        assert len(self._solve_all(monkeypatch, scn.decision_lp, lps)) >= 3
+
+    @pytest.mark.parametrize("start", ["negative", "zero", "positive", "upper-only",
+                                       "free"])
+    def test_random_templates_with_rows(self, monkeypatch, start):
+        rng = np.random.default_rng(32 + ["negative", "zero", "positive", "upper-only",
+                                          "free"].index(start))
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 4))
+            lo, hi = TestDifferencedRows._bounds(rng, start, n)
+            A = rng.normal(size=(m, n))
+            A[rng.random(A.shape) < 0.3] = 0.0    # singletons in template rows
+            inside = np.clip(rng.normal(size=n), lo, hi)
+            p = LinearProgram(rng.normal(size=n), A, A @ inside, lo, hi)
+            lps = [robustify_box(p, box) for box in _mixed_boxes(rng, n, 16)]
+            self._solve_all(monkeypatch, p, lps)
+
+    def test_one_memo_per_template(self):
+        box = BoxSet([-1.0, 0.5], [1.0, 2.0])
+        p, q = (LinearProgram([0.0, 0.0], [[1.0, 1.0]], [0.5], [-1.0, 0.0], [1.0, 1.0])
+                for _ in range(2))
+        r_p, r_q = robustify_box(p, box), robustify_box(q, box)
+        _assert_same_solution(solve_lp(r_p), solve_lp(r_q))
+        memo_p, memo_q = r_p._start.crashes, r_q._start.crashes
+        assert memo_p is not memo_q and len(memo_p) == len(memo_q) == 1
+        solve_lp(robustify_box(p, BoxSet([-2.0, 1.0], [3.0, 1.5])))  # the same pattern
+        assert len(memo_p) == 1
+        # an LP that is no robust LP's skeleton memoises nothing
+        fresh = LinearProgram(r_p.c, r_p.A, r_p.b, r_p.lo, r_p.hi)
+        solve_lp(fresh)
+        assert p._start.crashes is fresh._start.crashes is None
+
+    def test_overflowing_residual_takes_the_generic_crash(self, monkeypatch):
+        # x's start point is -1e300: a box entry of 1e10 times it overflows
+        # in the start residual, one of 0.5 does not
+        p = LinearProgram([0.0], [[1.0]], [0.0], [-1e300], [1.0])
+        boxes = [BoxSet([0.5], [1.0]), BoxSet([1e10], [2e10]), BoxSet([0.25], [2.0])]
+        lps = [robustify_box(p, box) for box in boxes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow itself
+            resid = lps[1].b - lps[1].A @ lps[1]._start[0][:lps[1].n]
+            assert not np.isfinite(resid).all()
+            memo = self._solve_all(monkeypatch, p, lps[:1])
+            crashed = []
+            run = lp._crash
+            monkeypatch.setattr(lp, "_crash",
+                                lambda q, resid: crashed.append(q) or run(q, resid))
+            for r in lps[1:]:
+                got = solve_lp(r)
+                assert got.status == OPTIMAL
+                _assert_same_solution(got, _ref_solve_lp(r))
+        # the overflowing LP ran its own crash; the last one read the memo
+        assert len(crashed) == 1 and crashed[0] is lps[1] and len(memo) == 1

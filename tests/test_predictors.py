@@ -361,6 +361,14 @@ class TestWorkspace:
     def test_bit_equal_to_allocating_pass_knapsack_shape(self, n, kind, alpha, arch):
         self._check_bit_equal(n, 10, 20, kind, alpha, arch)
 
+    # the grid world's shape: 10 covariates, 40 edge costs
+    @pytest.mark.parametrize("n", [50, 9000])
+    @pytest.mark.parametrize("kind,alpha", [("mse", 0.5), ("pinball", 0.8),
+                                            ("smooth-pinball", 0.8)])
+    @pytest.mark.parametrize("arch", ["mlp", "linear"])
+    def test_bit_equal_to_allocating_pass_grid_shape(self, n, kind, alpha, arch):
+        self._check_bit_equal(n, 10, 40, kind, alpha, arch)
+
     # the benchmark's one-column shapes: the knapsack classifier (10
     # covariates, one logit) and the toy world's linear width (one covariate)
     @pytest.mark.parametrize("n", [50, 9000])
