@@ -45,8 +45,6 @@ def calib_scores(d2: Dataset, mean_model, quantile_model, ratio_model) -> CalibS
     h predictions are already floored, so scores are always defined. Weights
     come from the ratio model at (c_i, z_i), clipped to its bounds.
     """
-    if d2.n == 0:
-        raise ValueError("calibration set must be nonempty")
     resid = np.abs(compute_residuals(d2, mean_model))
     widths = quantile_model.predict(d2.Z)
     if resid.shape != widths.shape:

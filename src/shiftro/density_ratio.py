@@ -88,14 +88,14 @@ def fit_classifier_ratio(train_z, test_z, kind: str, seed: int, clip) -> Classif
     X = np.vstack([Ztr, Zte])
     y = np.concatenate([np.zeros(Ztr.shape[0]), np.ones(Zte.shape[0])])
     if kind == "linear":
-        params, bias = {"W": np.zeros((X.shape[1], 1)), "b": np.zeros(1)}, "b"
+        params = {"W": np.zeros((X.shape[1], 1)), "b": np.zeros(1)}
     elif kind == "mlp":
-        params, bias = _mlp_init(X.shape[1], 1, RngStream(seed, 303)), "b2"
+        params = _mlp_init(X.shape[1], 1, RngStream(seed, 303))
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
     params, _ = _fit_lbfgs(params, X, y[:, None], "logistic", 0.5, CLASSIFIER_ITERATIONS)
     # Unequal pool sizes bias the intercept by log(n_te / n_tr); remove it.
-    params[bias] = params[bias] - np.log(Zte.shape[0] / Ztr.shape[0])
+    params["b"] = params["b"] - np.log(Zte.shape[0] / Ztr.shape[0])
     return ClassifierRatio(Predictor(params), *clip)
 
 

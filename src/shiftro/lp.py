@@ -103,6 +103,11 @@ class LinearProgram:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag: rebuild through the checks,
+        # which freeze fresh copies, and keep no cached start
+        return LinearProgram, (self.c, self.A, self.b, self.lo, self.hi)
+
     @property
     def n(self) -> int:
         return self.c.size
@@ -297,6 +302,8 @@ def _simplex_phase(tab: _Tableau, cost: np.ndarray, pivot_budget: int):
         # Among tied blocking rows take the smallest basis index
         # (required for Bland's rule; harmless under Dantzig pricing).
         tied = (ratios <= t_best + 1e-15).nonzero()[0]
+        if not tied.size:   # t_best is NaN
+            raise RuntimeError("simplex ratio test overflowed to NaN")
         row = tied[basis[tied].argmin()]
         start = 0.0 if state[j] == _FREE0 else (lo[j] if going_up else hi[j])
         xB += t_best * delta
@@ -412,7 +419,7 @@ def solve_lp(p: LinearProgram) -> LpSolution:
     # Snap solver noise back into the bounds (no lower bound is +inf and no
     # upper bound -inf, so they clip as they stand).
     x = x_full[:n].clip(p.lo, p.hi)
-    if np.abs(p.A @ x - p.b).max(initial=0.0) > FEAS_TOL:
+    if not np.abs(p.A @ x - p.b).max(initial=0.0) <= FEAS_TOL:   # NaN fails too
         raise RuntimeError("simplex returned a primal-infeasible point")
     return LpSolution(x, float(p.c @ x), OPTIMAL, tab.pivots)
 

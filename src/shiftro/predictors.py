@@ -1,20 +1,21 @@
 """Mean predictors for E[c|z] and residual-magnitude quantile predictors.
 
-Two model families each: a convex baseline (ridge / linear quantile
-regression) and a one-hidden-layer MLP with 16 units. The MLP forward and
-backward pass is shared with the probabilistic classifier in density_ratio.
-The mean MLP trains with full-batch Adam and the linear width with
-subgradient descent (_fit_gradient). The smooth losses train with L-BFGS
-(_fit_lbfgs): the logistic loss of both classifiers, linear and MLP, and
-the width MLP's pinball loss smoothed by a logistic kernel, fitted to |r|
-in units of each column's sd and floored at a fifth of it. Both smooth
-losses take their softplus as max(t, 0) + log1p(e^-|t|) (_softplus): numpy
-vectorises exp and log1p but not logaddexp, whose scalar loop would be the
-largest cost of either loss. Both optimizers see the same flat objective
-(_flat_objective): the parameters as one vector, and a pass that prices it
-with one loss_and_grad call, which forms each kind's loss and output
-gradient in one branch. Every fitted mean or width model is a Predictor
-over its parameter dict.
+Every model here, and density_ratio's classifier, has one shape: an output
+layer out = X @ W + b over X = Z (ridge, linear quantile regression,
+linear logistic) or over one tanh hidden layer of 16 units (the MLPs),
+with one forward pass (_forward) and one output-layer gradient; only an
+MLP backpropagates on to W1 and b1. The mean MLP trains with full-batch
+Adam and the linear width with subgradient descent (_fit_gradient). The
+smooth losses train with L-BFGS (_fit_lbfgs): the logistic loss of both
+classifiers, linear and MLP, and the width MLP's pinball loss smoothed by
+a logistic kernel, fitted to |r| in units of each column's sd and floored
+at a fifth of it. Both smooth losses take their softplus as max(t, 0) +
+log1p(e^-|t|) (_softplus): numpy vectorises exp and log1p but not
+logaddexp, whose scalar loop would be the largest cost of either loss.
+Both optimizers see the same flat objective (_flat_objective): the
+parameters as one vector, and a pass that prices it with one loss_and_grad
+call, which forms each kind's loss and output gradient in one branch.
+Every fitted mean or width model is a Predictor over its parameter dict.
 
 The MLP's first layer takes its bias in the product [Z | 1] @ [W1; b1],
 which OpenBLAS's gemm forms with the same bits as Z @ W1 + b1 (on two or
@@ -59,7 +60,7 @@ class Dataset:
         C = np.asarray(self.C, dtype=float)
         if C.ndim == 1:
             C = C[:, None]
-        if C.size == 0:
+        if C.size == 0 and C.shape[0] != Z.shape[0]:
             C = C.reshape(Z.shape[0], 0)
         if Z.shape[0] != C.shape[0]:
             raise ValueError(f"row mismatch: {Z.shape[0]} covariates vs {C.shape[0]} costs")
@@ -98,8 +99,8 @@ def _mlp_init(d, k, rng: RngStream):
     return {
         "W1": g.normal(0.0, 1.0 / np.sqrt(d), size=(d, HIDDEN)),
         "b1": np.zeros(HIDDEN),
-        "W2": g.normal(0.0, 1.0 / np.sqrt(HIDDEN), size=(HIDDEN, k)),
-        "b2": np.zeros(k),
+        "W": g.normal(0.0, 1.0 / np.sqrt(HIDDEN), size=(HIDDEN, k)),
+        "b": np.zeros(k),
     }
 
 
@@ -129,25 +130,22 @@ class _Workspace:
         return A
 
 
-def _mlp_forward(params, Z, work):
-    (d, hidden), n = params["W1"].shape, Z.shape[0]
-    W2 = params["W2"]
-    W1b1 = work.array("W1b1", (d + 1, hidden))
-    W1b1[:d], W1b1[d] = params["W1"], params["b1"]
-    H = np.matmul(work.design(Z), W1b1, out=work.array("H", (n, hidden)))
-    np.tanh(H, out=H)
-    out = np.matmul(H, W2, out=work.array("out", (n, W2.shape[1])))
-    # not folded into [H | 1] @ [W2; b2]: at the knapsack mean's and width's
-    # shapes that product differs from H @ W2 + b2 in the last bits
-    np.add(out, params["b2"], out=out)
-    return out, H
-
-
-def _linear_forward(params, Z, work):
+def _forward(params, Z, work):
+    """``(out, X)`` of the one model shape out = X @ W + b: X is Z, or, when
+    ``params`` hold "W1", the hidden layer tanh([Z | 1] @ [W1; b1])."""
+    X = Z
+    if "W1" in params:
+        (d, hidden), n = params["W1"].shape, Z.shape[0]
+        W1b1 = work.array("W1b1", (d + 1, hidden))
+        W1b1[:d], W1b1[d] = params["W1"], params["b1"]
+        X = np.matmul(work.design(Z), W1b1, out=work.array("H", (n, hidden)))
+        np.tanh(X, out=X)
     W = params["W"]
-    out = np.matmul(Z, W, out=work.array("out", (Z.shape[0], W.shape[1])))
+    out = np.matmul(X, W, out=work.array("out", (X.shape[0], W.shape[1])))
+    # not folded into [X | 1] @ [W; b]: at the knapsack mean's and width's
+    # shapes that product differs from X @ W + b in the last bits
     np.add(out, params["b"], out=out)
-    return out, None
+    return out, X
 
 
 def _softplus(t, out, tmp):
@@ -223,7 +221,7 @@ def _loss_and_grad_out(kind, out, Y, alpha, work):
 
 
 def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
-    """Loss plus exact (sub)gradients for either architecture.
+    """Loss plus exact (sub)gradients of every parameter of either shape.
 
     ``work`` holds the (n, .) scratch arrays; a fit passes the same one to
     every epoch, and a fresh one is made when none is given. The returned
@@ -231,22 +229,17 @@ def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
     gradients against finite differences.
     """
     work = _Workspace() if work is None else work
+    out, X = _forward(params, Z, work)
+    loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
+    grads = {"W": X.T @ G, "b": _column_sums(G)}
     if "W1" in params:
-        out, H = _mlp_forward(params, Z, work)
-        loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
-        dW2 = H.T @ G
-        db2 = _column_sums(G)
         # np.dot, not np.matmul: with one output column (k = 1) matmul runs
         # numpy's own loop for this outer product, dot runs BLAS; same bits
-        dH = np.dot(G, params["W2"].T, out=work.array("dH", H.shape))
-        slope = np.multiply(H, H, out=work.array("slope", H.shape))
+        dH = np.dot(G, params["W"].T, out=work.array("dH", X.shape))
+        slope = np.multiply(X, X, out=work.array("slope", X.shape))
         np.subtract(1.0, slope, out=slope)
         np.multiply(dH, slope, out=dH)
-        grads = {"W1": Z.T @ dH, "b1": _column_sums(dH), "W2": dW2, "b2": db2}
-    else:
-        out, _ = _linear_forward(params, Z, work)
-        loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
-        grads = {"W": Z.T @ G, "b": _column_sums(G)}
+        grads.update(W1=Z.T @ dH, b1=_column_sums(dH))
     return loss, grads
 
 
@@ -387,23 +380,20 @@ def _views(flat, like):
 
 
 class Predictor:
-    """A fitted mean or width model: the MLP or linear forward pass of its
-    parameters, floored at ``floor`` when one is set (width models): a
-    number, or one per output column."""
+    """A fitted mean or width model: the forward pass of its parameters, floored
+    at ``floor`` when one is set (width models): a number, or one per column."""
 
     def __init__(self, params, floor=None):
         self.params = params
         self.floor = floor
-        mlp = "W1" in params
-        self._forward = _mlp_forward if mlp else _linear_forward
-        self.input_dim = params["W1" if mlp else "W"].shape[0]
-        self.output_dim = params["W2" if mlp else "W"].shape[1]
+        self.input_dim = params.get("W1", params["W"]).shape[0]
+        self.output_dim = params["W"].shape[1]
 
     def predict(self, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim}-dim input, got {Z.shape[1]}")
-        out, _ = self._forward(self.params, Z, _Workspace())
+        out, _ = _forward(self.params, Z, _Workspace())
         return out if self.floor is None else np.maximum(out, self.floor)
 
 
@@ -461,7 +451,7 @@ def fit_quantile(Z, abs_residuals, alpha: float, kind: str, seed: int):
     quantile. Every accepted step lowers the smoothed loss, so the fit ends
     no higher than its random start, and the smoothed loss exceeds the exact
     one by at most b*log(2) per entry in sd units. Nothing bounds the result
-    by the best constant predictor. The sd is folded back into W2 and b2, so
+    by the best constant predictor. The sd is folded back into W and b, so
     h is one Predictor in the units of |r|.
 
     The MLP width is floored per column at WIDTH_SD_FLOOR sd of |r|. The
@@ -494,10 +484,10 @@ def fit_quantile(Z, abs_residuals, alpha: float, kind: str, seed: int):
         sd = Y.std(axis=0)
         floor = np.maximum(WIDTH_SD_FLOOR * sd, WIDTH_FLOOR)
         sd[sd == 0] = 1.0
-        params["b2"] = q0 / sd
+        params["b"] = q0 / sd
         params, _ = _fit_lbfgs(params, Z, Y / sd, "smooth-pinball", alpha,
                                WIDTH_ITERATIONS)
-        params = dict(params, W2=params["W2"] * sd, b2=params["b2"] * sd)
+        params = dict(params, W=params["W"] * sd, b=params["b"] * sd)
     else:
         raise ValueError(f"unknown quantile model kind {kind!r}")
     return Predictor(params, floor)

@@ -6,7 +6,7 @@ import pytest
 from shiftro import predictors
 from shiftro.conformal import (CalibScores, calib_scores, empirical_coverage, select_eta,
                                uncertainty_box)
-from shiftro.density_ratio import GaussianOracleRatio, trivial_ratio
+from shiftro.density_ratio import GaussianOracleRatio, fit_classifier_ratio, trivial_ratio
 from shiftro.harness import ExperimentConfig
 from shiftro.lp import BoxSet
 from shiftro.numerics import RngStream
@@ -82,6 +82,27 @@ class TestCalibScores:
         f, h = _ConstMean([0.0, 0.0, 0.0]), _ConstWidth([1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="mean model"):
             calib_scores(d2, f, h, trivial_ratio(*CLIP))
+
+
+    @pytest.mark.parametrize("ratio", ["trivial", "oracle", "classifier"])
+    def test_empty_calibration_set(self, ratio):
+        # the fitted models predict zero rows, and the CalibScores built from
+        # them refuses the empty set; the empty d2 keeps its cost column
+        scn = ToyScenario(1.0, 1.0, 0.5, "covariate")
+        d1 = scn.sample(200, RngStream(7, 1), TRAIN)
+        f = fit_mean(d1, "ridge", 0)
+        h = fit_quantile(d1.Z, np.abs(d1.C - f.predict(d1.Z)), 0.8, "linear", 0)
+        if ratio == "trivial":
+            model = trivial_ratio(*CLIP)
+        elif ratio == "oracle":
+            model = GaussianOracleRatio(scn, *CLIP)
+        else:
+            test_z = scn.sample(200, RngStream(7, 2), TEST).Z
+            model = fit_classifier_ratio(d1.Z, test_z, "mlp", 0, CLIP)
+        d2 = Dataset(np.zeros((0, 1)), np.zeros((0, 1)))
+        assert d2.n_cost == 1
+        with pytest.raises(ValueError, match="nonempty"):
+            calib_scores(d2, f, h, model)
 
 
 class TestSelectEta:

@@ -1,5 +1,6 @@
 """LP solver and box-robust reformulation against independent oracles."""
 
+import pickle
 import warnings
 from itertools import combinations, product
 
@@ -1040,3 +1041,47 @@ class TestCrashMemo:
                 _assert_same_solution(got, _ref_solve_lp(r))
         # the overflowing LP ran its own crash; the last one read the memo
         assert len(crashed) == 1 and crashed[0] is lps[1] and len(memo) == 1
+
+
+class TestOverflow:
+    """An LP whose values overflow raises; it never ends as an optimal point."""
+
+    def test_nan_residual_fails_the_feasibility_check(self):
+        # x's lower bound 1e300 times the box entry 1e10 overflows, and the
+        # final residual reads NaN; the LP used to end optimal with value NaN
+        r = robustify_box(LinearProgram([0.0], [[1.0]], [0.0], [1e300], [np.inf]),
+                          BoxSet([1e10], [2e10]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow itself
+            with pytest.raises(RuntimeError, match="primal-infeasible"):
+                solve_lp(r)
+
+    def test_nan_ratio_names_the_overflow(self):
+        # the ratio test reads NaN, so no row ties for its minimum; numpy used
+        # to raise on the argmin of the empty tie set
+        p = LinearProgram([0.0, 0.0], [[1.0, 1.0]], [1e300], [-1.0, -1e300], [1.0, 1e300])
+        r = robustify_box(p, BoxSet([-1.0, 1e10], [2.0, 2e10]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="overflow"):
+                solve_lp(r)
+
+
+class TestPickle:
+    """A pickled LP is rebuilt through its checks: read-only, no cached start."""
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_round_trip_keeps_arrays_read_only(self, robust):
+        p = LinearProgram([1.0, -1.0], [[1.0, 1.0]], [1.0], [0.0, -2.0], [2.0, np.inf])
+        if robust:
+            p = robustify_box(p, BoxSet([0.5, -1.5], [1.5, -0.5]))
+        want = solve_lp(p)
+        q = pickle.loads(pickle.dumps(p))
+        for name in ("c", "A", "b", "lo", "hi"):
+            a = getattr(q, name)
+            assert _bits(a) == _bits(getattr(p, name))
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        assert "_start" not in vars(q)
+        _assert_same_solution(solve_lp(q), want)
+        assert want.status == OPTIMAL

@@ -274,7 +274,7 @@ def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
     n = Z.shape[0]
     if "W1" in params:
         H = np.tanh(Z @ params["W1"] + params["b1"])
-        out = H @ params["W2"] + params["b2"]
+        out = H @ params["W"] + params["b"]
     else:
         out = Z @ params["W"] + params["b"]
     if kind == "mse":
@@ -294,9 +294,9 @@ def _reference_loss_and_grad(params, Z, Y, kind, alpha=0.5):
         G = (1.0 / (1.0 + np.exp(-out)) - Y) / n
         loss = np.sum(_softplus_reference(out) - Y * out) / n
     if "W1" in params:
-        dH = (G @ params["W2"].T) * (1.0 - H * H)
-        grads = {"W1": Z.T @ dH, "b1": dH.sum(axis=0), "W2": H.T @ G,
-                 "b2": G.sum(axis=0)}
+        dH = (G @ params["W"].T) * (1.0 - H * H)
+        grads = {"W1": Z.T @ dH, "b1": dH.sum(axis=0), "W": H.T @ G,
+                 "b": G.sum(axis=0)}
     else:
         grads = {"W": Z.T @ G, "b": G.sum(axis=0)}
     return loss, grads
@@ -543,7 +543,7 @@ class TestLbfgs:
         y = np.concatenate([np.zeros(300), np.ones(200)])[:, None]
         init = _mlp_init(4, 1, RngStream(8, 303))
         want, _ = _reference_lbfgs(init, X, y, "logistic", 0.5, 60)
-        want["b2"] = want["b2"] - np.log(200 / 300)
+        want["b"] = want["b"] - np.log(200 / 300)
         params = model.predictor.params
         assert params.keys() == want.keys()
         for key in want:
@@ -579,12 +579,12 @@ class TestLbfgs:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_stationary_point_comes_back_unchanged(self, monkeypatch):
-        # zero weights and b2 = 0 on balanced labels: p = 1/2 everywhere and
+        # zero weights and b = 0 on balanced labels: p = 1/2 everywhere and
         # every gradient entry is exactly zero (256 rows keep G's sums exact)
         Z = RngStream(3).generator.normal(size=(256, 4))
         Y = np.repeat([[0.0], [1.0]], 128, axis=0)
         init = {"W1": np.zeros((4, HIDDEN)), "b1": np.zeros(HIDDEN),
-                "W2": np.zeros((HIDDEN, 1)), "b2": np.zeros(1)}
+                "W": np.zeros((HIDDEN, 1)), "b": np.zeros(1)}
         calls = []
         real = predictors.loss_and_grad
         monkeypatch.setattr(predictors, "loss_and_grad",
@@ -667,7 +667,7 @@ def test_classifier_fit_beats_adam(scenario, d, seed):
     y = np.concatenate([np.zeros(len(train_z)), np.ones(len(test_z))])[:, None]
     model = fit_classifier_ratio(train_z, test_z, "mlp", seed, CLIP)
     params = dict(model.predictor.params)
-    params["b2"] = params["b2"] + np.log(len(test_z) / len(train_z))
+    params["b"] = params["b"] + np.log(len(test_z) / len(train_z))
     loss, _ = loss_and_grad(params, X, y, "logistic")
     init = _mlp_init(d, 1, RngStream(seed, 303))
     _, adam_loss = _fit_gradient(init, X, y, "logistic", 0.5, 500)
@@ -700,7 +700,7 @@ def test_width_fit_beats_adam(scenario, d, seed):
     held_out = fit.scenario.sample(5000, RngStream(seed, 40), TRAIN)
     Y, Y_held = (np.abs(compute_residuals(data, fit.f)) for data in (d1, held_out))
     init = _mlp_init(fit.scenario.d, Y.shape[1], RngStream(seed, 202))
-    init["b2"] = np.quantile(Y, alpha, axis=0)
+    init["b"] = np.quantile(Y, alpha, axis=0)
     adam, _ = _fit_gradient(init, d1.Z, Y, "pinball", alpha, 2000)
     loss, adam_loss = (np.mean(pinball(Y_held - h.predict(held_out.Z), alpha))
                        for h in (fit.h, Predictor(adam, WIDTH_FLOOR)))
