@@ -372,10 +372,12 @@ def emit_report(report: Report, fmt: str | None = None, out: str | None = None):
             lines.append(",".join(_fmt(v) for v in row.csv_values()))
         _write_text(paths[0], "\n".join(lines) + "\n")
     elif fmt == "json":
-        payload = {
-            "rows": [dict(zip(CSV_COLUMNS, row.csv_values())) for row in report.rows],
-        }
-        _write_text(paths[0], json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # RFC 8259 has no NaN: a non-finite float (the coverage of an empty
+        # z1 group) reads null, where the CSV keeps nan
+        rows = [{c: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for c, v in zip(CSV_COLUMNS, row.csv_values())} for row in report.rows]
+        _write_text(paths[0], json.dumps({"rows": rows}, indent=2, sort_keys=True,
+                                         allow_nan=False) + "\n")
     elif fmt == "svg":
         for path, chart in zip(paths, (coverage_bars_svg, conservatism_curves_svg)):
             _write_text(path, chart(report))

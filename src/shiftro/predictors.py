@@ -14,7 +14,10 @@ log1p(e^-|t|) (_softplus): numpy vectorises exp and log1p but not
 logaddexp, whose scalar loop would be the largest cost of either loss.
 Both optimizers see the same flat objective (_flat_objective): the
 parameters as one vector, and a pass that prices it with one loss_and_grad
-call, which forms each kind's loss and output gradient in one branch.
+call, which forms each kind's loss and output gradient in one branch and
+writes each parameter's gradient into views of a flat vector that the fit
+makes once (L-BFGS keeps two: a trial never overwrites the current one).
+An MLP pass turns its hidden layer's block into tanh's slope 1 - H^2.
 Every fitted mean or width model is a Predictor over its parameter dict.
 
 The MLP's first layer takes its bias in the product [Z | 1] @ [W1; b1],
@@ -220,47 +223,62 @@ def _loss_and_grad_out(kind, out, Y, alpha, work):
     return loss, G
 
 
-def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None):
+def loss_and_grad(params, Z, Y, kind, alpha=0.5, work=None, grads=None):
     """Loss plus exact (sub)gradients of every parameter of either shape.
 
     ``work`` holds the (n, .) scratch arrays; a fit passes the same one to
-    every epoch, and a fresh one is made when none is given. The returned
-    gradients never share memory with it. Exposed so tests can compare
+    every epoch, and a fresh one is made when none is given. Each gradient
+    is written into ``grads[k]``, an array of ``params[k]``'s shape that the
+    caller owns (a fit's are views into its flat gradient vector), or into a
+    fresh one when ``grads`` is None; the dict is returned. The gradients
+    never share memory with ``work``. Exposed so tests can compare
     gradients against finite differences.
     """
     work = _Workspace() if work is None else work
+    if grads is None:
+        grads = {k: np.empty(p.shape) for k, p in params.items()}
     out, X = _forward(params, Z, work)
     loss, G = _loss_and_grad_out(kind, out, Y, alpha, work)
-    grads = {"W": X.T @ G, "b": _column_sums(G)}
+    np.matmul(X.T, G, out=grads["W"])
+    _column_sums(G, grads["b"])
     if "W1" in params:
         # np.dot, not np.matmul: with one output column (k = 1) matmul runs
         # numpy's own loop for this outer product, dot runs BLAS; same bits
         dH = np.dot(G, params["W"].T, out=work.array("dH", X.shape))
-        slope = np.multiply(X, X, out=work.array("slope", X.shape))
-        np.subtract(1.0, slope, out=slope)
-        np.multiply(dH, slope, out=dH)
-        grads.update(W1=Z.T @ dH, b1=_column_sums(dH))
+        # X, the hidden layer's workspace block, is unread after this pass:
+        # it takes tanh's slope 1 - X^2 in place
+        np.multiply(X, X, out=X)
+        np.subtract(1.0, X, out=X)
+        np.multiply(dH, X, out=dH)
+        np.matmul(Z.T, dH, out=grads["W1"])
+        _column_sums(dH, grads["b1"])
     return loss, grads
 
 
-def _column_sums(A):
-    """A.sum(axis=0), by the several times faster einsum when A has two or
-    more columns: both then add each column in row order, to the same bits."""
-    return np.einsum("ij->j", A) if A.shape[1] > 1 else A.sum(axis=0)
+def _column_sums(A, out):
+    """A.sum(axis=0) into ``out``, by the several times faster einsum when A
+    has two or more columns: both then add each column in row order, to the
+    same bits."""
+    if A.shape[1] > 1:
+        return np.einsum("ij->j", A, out=out)
+    return A.sum(axis=0, out=out)
 
 
-def _flat_objective(params, Z, Y, kind, alpha):
+def _flat_objective(params, Z, Y, kind, alpha, buffers=1):
     """The fit's parameters as one flat vector, the parameter dict as views
-    into it, and ``evaluate()``: the loss and the flat gradient at the
+    into it, and ``evaluate(i=0)``: the loss and the flat gradient at the
     vector's current value, from one loss_and_grad call over a workspace
-    that the fit's passes share."""
+    that the fit's passes share. The gradient is written into the i-th of
+    ``buffers`` vectors made once, which the next ``evaluate(i)`` reuses."""
     flat = np.concatenate([a.ravel() for a in params.values()])
     views = _views(flat, params)
     work = _Workspace()
+    grads = [np.empty_like(flat) for _ in range(buffers)]
+    grad_views = [_views(g, params) for g in grads]
 
-    def evaluate():
-        loss, grads = loss_and_grad(views, Z, Y, kind, alpha, work)
-        return loss, np.concatenate([grads[k].ravel() for k in views])
+    def evaluate(i=0):
+        loss, _ = loss_and_grad(views, Z, Y, kind, alpha, work, grad_views[i])
+        return loss, grads[i]
 
     return flat, views, evaluate
 
@@ -337,8 +355,10 @@ def _fit_lbfgs(params, Z, Y, kind, alpha, iterations):
     point and its loss. Parameters and gradients are flat vectors, as in
     _fit_gradient, and one loss_and_grad call prices each trial point.
     """
-    flat, params, evaluate = _flat_objective(params, Z, Y, kind, alpha)
-    loss, grad = evaluate()
+    # two gradient vectors: a trial writes into the one not holding grad
+    flat, params, evaluate = _flat_objective(params, Z, Y, kind, alpha, buffers=2)
+    current = 0
+    loss, grad = evaluate(current)
     pairs = deque(maxlen=LBFGS_MEMORY)
     for _ in range(iterations):
         if not np.any(grad):
@@ -353,7 +373,7 @@ def _fit_lbfgs(params, Z, Y, kind, alpha, iterations):
         start = flat.copy()
         for _ in range(MAX_HALVINGS + 1):
             np.add(start, step * direction, out=flat)
-            trial_loss, trial_grad = evaluate()
+            trial_loss, trial_grad = evaluate(1 - current)
             if (trial_loss < loss and trial_loss <= loss + ARMIJO_C1 * step * slope
                     and np.isfinite(trial_loss) and np.all(np.isfinite(trial_grad))):
                 break
@@ -366,7 +386,7 @@ def _fit_lbfgs(params, Z, Y, kind, alpha, iterations):
         sy = s @ y
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-        loss, grad = trial_loss, trial_grad
+        loss, grad, current = trial_loss, trial_grad, 1 - current
     return params, loss
 
 

@@ -356,6 +356,26 @@ class TestEmitReport:
         for col in CSV_COLUMNS:
             assert got[col] == getattr(report.rows[0], col)
 
+    def test_json_is_strict_when_a_z1_group_is_empty(self, tmp_path):
+        # three evaluation rows at shift 4 all fall on z1 > 0, so the z1 < 0
+        # coverage is NaN: the JSON report writes null, which a parser that
+        # refuses NaN reads as None, and the CSV keeps nan
+        cfg = ExperimentConfig(seed=0, **dict(FAST_TOY, shift=4.0, n_eval=3))
+        report = run_pipeline(cfg)
+        assert np.isnan(report.rows[0].coverage_z1_neg)
+        emit_report(report, "json", str(tmp_path / "r.json"))
+        emit_report(report, "csv", str(tmp_path / "r.csv"))
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "r.json").read_text()
+        (row,) = json.loads(text, parse_constant=refuse)["rows"]
+        assert row["coverage_z1_neg"] is None
+        assert row["coverage_z1_pos"] == report.rows[0].coverage_z1_pos
+        header, line = (tmp_path / "r.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), line.split(",")))["coverage_z1_neg"] == "nan"
+
     def test_deterministic_csv_bytes(self, tmp_path):
         cfg1 = ExperimentConfig(seed=5, replicates=2, **FAST_TOY)
         a = tmp_path / "a.csv"

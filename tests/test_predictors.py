@@ -12,7 +12,7 @@ from shiftro.predictors import (ADAM_STEP, HIDDEN, MAX_HALVINGS, SUBGRADIENT_STE
                                 WIDTH_FLOOR, Dataset, Predictor, compute_residuals,
                                 fit_mean, fit_quantile, loss_and_grad, pinball,
                                 _fit_gradient, _fit_lbfgs, _loss_and_grad_out,
-                                _mlp_init, _softplus, _Workspace)
+                                _mlp_init, _softplus, _views, _Workspace)
 
 CLIP = (ExperimentConfig.clip_lo, ExperimentConfig.clip_hi)   # default clip
 
@@ -344,6 +344,17 @@ def _assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _flat_grads(params):
+    """A flat gradient vector and views into it, one per parameter, as
+    _flat_objective builds them for a fit's passes."""
+    flat = np.empty(sum(p.size for p in params.values()))
+    return flat, _views(flat, params)
+
+
+def _flat_reference(grads, params):
+    return np.concatenate([grads[key].ravel() for key in params])
+
+
 class TestWorkspace:
     # 9000 rows x 16 hidden units is above 1 MB per hidden buffer, 50 below
     @pytest.mark.parametrize("n", [50, 9000])
@@ -394,6 +405,20 @@ class TestWorkspace:
             assert grads.keys() == want.keys()
             for key in want:
                 _assert_same_bits(grads[key], want[key])
+        # gradients written through views into one flat vector, as a fit's
+        # passes write them: the same bits, in the caller's arrays
+        flat, views = _flat_grads(params)
+        loss, grads = loss_and_grad(params, Z, Y, kind, alpha, work, views)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for key in want:
+            assert grads[key] is views[key]
+            _assert_same_bits(grads[key], want[key])
+        _assert_same_bits(flat, _flat_reference(want, params))
+        # an MLP pass keeps two (n, hidden) blocks, the hidden layer (which
+        # takes tanh's slope in place) and dH; a linear pass none
+        hidden = [a for a in work._arrays.values() if a.shape == (n, HIDDEN)]
+        assert len(hidden) == (2 if arch == "mlp" else 0)
 
     def test_gradients_do_not_alias_the_workspace(self):
         Z, Y = _problem(200, 3, 2, "mse")
@@ -405,6 +430,15 @@ class TestWorkspace:
         loss_and_grad(other, -Z, 2 * Y, "mse", 0.5, work)
         for key in kept:
             _assert_same_bits(first[key], kept[key])
+        # two passes written into two flat vectors, as L-BFGS writes its
+        # current gradient and a trial's: the second leaves the first intact
+        flat1, views1 = _flat_grads(params)
+        loss_and_grad(params, Z, Y, "mse", 0.5, work, views1)
+        flat2, views2 = _flat_grads(other)
+        loss_and_grad(other, -Z, 2 * Y, "mse", 0.5, work, views2)
+        _assert_same_bits(flat1, _flat_reference(kept, params))
+        _, want = _reference_loss_and_grad(other, -Z, 2 * Y, "mse")
+        _assert_same_bits(flat2, _flat_reference(want, other))
 
     def test_new_covariates_of_the_same_shape_rebuild_the_design(self):
         # the workspace keeps [Z | 1] for the Z it was built from; a design
@@ -600,9 +634,12 @@ class TestLbfgs:
         # 1e-5, less than the Armijo margin 1e-4 * (1 - c); one halving lands
         # next to the minimum
         c = 0.49999
-        monkeypatch.setattr(predictors, "loss_and_grad",
-                            lambda p, *a: (0.5 * (p["x"][0] - c) ** 2,
-                                           {"x": p["x"] - c}))
+
+        def quadratic(p, Z, Y, kind, alpha, work, grads):
+            np.subtract(p["x"], c, out=grads["x"])
+            return 0.5 * (p["x"][0] - c) ** 2, grads
+
+        monkeypatch.setattr(predictors, "loss_and_grad", quadratic)
         params, _ = _fit_lbfgs({"x": np.array([1.0])}, None, None, "logistic", 0.5, 1)
         assert params["x"][0] == pytest.approx(0.5, abs=1e-12)
 
@@ -615,16 +652,20 @@ class TestLbfgs:
         real = predictors.loss_and_grad
         calls = []
 
-        def faulty(params, *args):
-            loss, grads = real(params, *args)
+        def faulty(params, Z, Y, kind, alpha, work, grads):
+            loss, grads = real(params, Z, Y, kind, alpha, work, grads)
             calls.append(loss)
             if fault == "ascent":
-                return loss, {k: -g for k, g in grads.items()}
+                for g in grads.values():
+                    np.negative(g, out=g)
+                return loss, grads
             if len(calls) == 1:
                 return loss, grads
             if fault == "nan-loss":
                 return np.nan, grads
-            return loss, {k: np.full_like(g, np.nan) for k, g in grads.items()}
+            for g in grads.values():
+                g.fill(np.nan)
+            return loss, grads
 
         monkeypatch.setattr(predictors, "loss_and_grad", faulty)
         params, loss = _fit_lbfgs(init, Z, Y, "logistic", 0.5, 100)
